@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"math/rand"
@@ -18,6 +19,7 @@ import (
 
 	"deepcat/internal/cli"
 	"deepcat/internal/core"
+	"deepcat/internal/env"
 )
 
 func main() {
@@ -60,14 +62,13 @@ func main() {
 		d.OfflineTrain(e, *trainIters, nil)
 	}
 
-	d.Cfg.OnlineSteps = *steps
-	d.Cfg.TimeBudgetSeconds = *budget
 	d.Cfg.TwinQ.QTh = *qth
 	d.Cfg.UseTwinQ = !*noTwinQ
 
 	fmt.Printf("online tuning %s (default %.1fs, budget %d steps)...\n\n",
 		e.Label(), e.DefaultTime(), *steps)
-	rep := d.OnlineTune(e)
+	rep, _ := env.RunOnline(context.Background(), d, e, env.Loop{Steps: *steps, BudgetSeconds: *budget})
+	rep.Tuner = "DeepCAT"
 	fmt.Print(rep.String())
 	fmt.Printf("\nspeedup over default: %.2fx\n", rep.Speedup(e.DefaultTime()))
 	fmt.Printf("total tuning cost: %.1fs (evaluation %.1fs + recommendation %.3fs)\n",

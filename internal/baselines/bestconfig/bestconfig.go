@@ -13,9 +13,9 @@
 package bestconfig
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
-	"time"
 
 	"deepcat/internal/env"
 	"deepcat/internal/mat"
@@ -81,59 +81,72 @@ func (b *BestConfig) ddsSample(lo, hi []float64, k int) [][]float64 {
 // evaluations: rounds of DDS sampling, each followed by RBS bounding around
 // the best point found so far.
 func (b *BestConfig) OnlineTune(e env.Environment, totalSteps int) *env.Report {
-	rep := &env.Report{Tuner: "BestConfig", EnvLabel: e.Label(), BestTime: 1e18}
+	rep, _ := env.RunOnline(context.Background(), b.Session(e, totalSteps), e, env.Loop{Steps: totalSteps})
+	rep.Tuner = "BestConfig"
+	return rep
+}
+
+// Session is one search of a tuning request: the current search box, the
+// queued samples of the current round and the best point found so far.
+type Session struct {
+	b         *BestConfig
+	lo, hi    []float64
+	remaining int         // evaluations left in the budget
+	k         int         // sample count of the current round
+	queue     [][]float64 // samples of the current round not yet suggested
+	roundHit  bool        // the current round produced a successful run
+	best      float64
+	bestU     []float64
+}
+
+// Session starts a search of e's space with a budget of totalSteps
+// evaluations; the budget sizes the last round, so it draws exactly the
+// samples the budget has left.
+func (b *BestConfig) Session(e env.Environment, totalSteps int) *Session {
 	dim := e.Space().Dim()
-	lo := make([]float64, dim)
-	hi := make([]float64, dim)
-	for d := range hi {
-		hi[d] = 1
+	s := &Session{b: b, lo: make([]float64, dim), hi: make([]float64, dim), remaining: totalSteps, best: 1e18}
+	for d := range s.hi {
+		s.hi[d] = 1
 	}
+	return s
+}
 
-	remaining := totalSteps
-	for remaining > 0 {
-		k := b.Cfg.SamplesPerRound
-		if k > remaining {
-			k = remaining
-		}
-		recStart := time.Now()
-		batch := b.ddsSample(lo, hi, k)
-		rec := time.Since(recStart).Seconds() / float64(k)
-
-		roundBestIdx := -1
-		roundBest := 1e18
-		for _, u := range batch {
-			outcome := e.Evaluate(u)
-			rep.Steps = append(rep.Steps, env.TuningStep{
-				Action:           mat.CloneSlice(u),
-				ExecTime:         outcome.ExecTime,
-				RecommendSeconds: rec,
-				Failed:           outcome.Failed,
-			})
-			if !outcome.Failed && outcome.ExecTime < rep.BestTime {
-				rep.BestTime = outcome.ExecTime
-				rep.BestAction = mat.CloneSlice(u)
-			}
-			if !outcome.Failed && outcome.ExecTime < roundBest {
-				roundBest = outcome.ExecTime
-				roundBestIdx = len(rep.Steps) - 1
-			}
-			remaining--
-		}
-
+// Suggest returns the next sample of the current round, drawing a new DDS
+// round once the current one is used up. The state and the failure flag
+// are ignored: search restarts from scratch for every request.
+func (s *Session) Suggest([]float64, bool) ([]float64, bool) {
+	if len(s.queue) == 0 {
 		// RBS: bound the next round around the incumbent best. When the
 		// whole round failed, keep the current box (diverge again).
-		if roundBestIdx >= 0 {
-			center := rep.BestAction
-			for d := 0; d < dim; d++ {
-				width := (hi[d] - lo[d]) / float64(k) * b.Cfg.Shrink
-				lo[d] = mat.Clip(center[d]-width/2, 0, 1)
-				hi[d] = mat.Clip(center[d]+width/2, 0, 1)
-				if hi[d]-lo[d] < 1e-6 { // degenerate box: reopen slightly
-					lo[d] = mat.Clip(center[d]-1e-3, 0, 1)
-					hi[d] = mat.Clip(center[d]+1e-3, 0, 1)
+		if s.roundHit {
+			for d := range s.lo {
+				width := (s.hi[d] - s.lo[d]) / float64(s.k) * s.b.Cfg.Shrink
+				s.lo[d] = mat.Clip(s.bestU[d]-width/2, 0, 1)
+				s.hi[d] = mat.Clip(s.bestU[d]+width/2, 0, 1)
+				if s.hi[d]-s.lo[d] < 1e-6 { // degenerate box: reopen slightly
+					s.lo[d] = mat.Clip(s.bestU[d]-1e-3, 0, 1)
+					s.hi[d] = mat.Clip(s.bestU[d]+1e-3, 0, 1)
 				}
 			}
 		}
+		s.k = min(s.b.Cfg.SamplesPerRound, max(s.remaining, 1))
+		s.queue = s.b.ddsSample(s.lo, s.hi, s.k)
+		s.roundHit = false
 	}
-	return rep
+	u := s.queue[0]
+	s.queue = s.queue[1:]
+	s.remaining--
+	return u, false
+}
+
+// Learn tracks the incumbent best and whether the round succeeded at all.
+func (s *Session) Learn(o env.Observation) {
+	if o.Outcome.Failed || !(o.Outcome.ExecTime < 1e18) {
+		return
+	}
+	s.roundHit = true
+	if o.Outcome.ExecTime < s.best {
+		s.best = o.Outcome.ExecTime
+		s.bestU = mat.CloneSlice(o.Action)
+	}
 }

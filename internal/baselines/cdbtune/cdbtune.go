@@ -15,14 +15,12 @@
 package cdbtune
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
-	"time"
 
 	"deepcat/internal/core"
-
 	"deepcat/internal/env"
-	"deepcat/internal/mat"
 	"deepcat/internal/rl"
 )
 
@@ -166,58 +164,39 @@ func (c *CDBTune) Clone() *CDBTune {
 	return out
 }
 
+// Suggest is the actor's deterministic action, or a noisy one after a
+// failed step so the tuner escapes the failure region.
+func (c *CDBTune) Suggest(state []float64, lastFailed bool) ([]float64, bool) {
+	if lastFailed && c.Cfg.RecoverySigma > 0 {
+		return c.Agent.ActNoisy(c.rng, state, c.Cfg.RecoverySigma), false
+	}
+	return c.Agent.Act(state), false
+}
+
+// Learn stores the step's transition under CDBTune's reward and fine-tunes
+// the agent with FineTuneIters prioritized updates.
+func (c *CDBTune) Learn(o env.Observation) {
+	c.Buffer.Add(rl.Transition{
+		State:     o.State,
+		Action:    o.Action,
+		Reward:    Reward(o.Outcome.ExecTime, o.PrevTime, o.DefTime),
+		NextState: o.Outcome.State,
+		Done:      o.Done,
+	})
+	for i := 0; i < c.Cfg.FineTuneIters && c.Buffer.Len() >= 2; i++ {
+		batch := c.Buffer.Sample(c.rng, min(c.Cfg.BatchSize, c.Buffer.Len()))
+		stats := c.Agent.Train(c.rng, batch)
+		c.Buffer.UpdatePriorities(batch.Indices, stats.TDErrors)
+	}
+}
+
 // OnlineTune fine-tunes the offline model on environment e for the
 // configured number of steps and reports the session. Every recommended
 // action is evaluated for real — CDBTune has no mechanism to skip
 // sub-optimal configurations, which is the cost gap DeepCAT's Twin-Q
 // Optimizer targets.
 func (c *CDBTune) OnlineTune(e env.Environment) *env.Report {
-	rep := &env.Report{Tuner: "CDBTune", EnvLabel: e.Label(), BestTime: 1e18}
-	state := e.IdleState()
-	defTime := e.DefaultTime()
-	prevTime := defTime
-	lastFailed := false
-	for step := 0; step < c.Cfg.OnlineSteps; step++ {
-		recStart := time.Now()
-		var action []float64
-		if lastFailed && c.Cfg.RecoverySigma > 0 {
-			action = c.Agent.ActNoisy(c.rng, state, c.Cfg.RecoverySigma)
-		} else {
-			action = c.Agent.Act(state)
-		}
-		outcome := e.Evaluate(action)
-		r := Reward(outcome.ExecTime, prevTime, defTime)
-		c.Buffer.Add(rl.Transition{
-			State:     state,
-			Action:    action,
-			Reward:    r,
-			NextState: outcome.State,
-			Done:      step == c.Cfg.OnlineSteps-1,
-		})
-		for i := 0; i < c.Cfg.FineTuneIters && c.Buffer.Len() >= 2; i++ {
-			n := c.Cfg.BatchSize
-			if c.Buffer.Len() < n {
-				n = c.Buffer.Len()
-			}
-			batch := c.Buffer.Sample(c.rng, n)
-			stats := c.Agent.Train(c.rng, batch)
-			c.Buffer.UpdatePriorities(batch.Indices, stats.TDErrors)
-		}
-		rec := time.Since(recStart).Seconds()
-
-		rep.Steps = append(rep.Steps, env.TuningStep{
-			Action:           mat.CloneSlice(action),
-			ExecTime:         outcome.ExecTime,
-			RecommendSeconds: rec,
-			Failed:           outcome.Failed,
-		})
-		if !outcome.Failed && outcome.ExecTime < rep.BestTime {
-			rep.BestTime = outcome.ExecTime
-			rep.BestAction = mat.CloneSlice(action)
-		}
-		lastFailed = outcome.Failed
-		prevTime = outcome.ExecTime
-		state = outcome.State
-	}
+	rep, _ := env.RunOnline(context.Background(), c, e, env.Loop{Steps: c.Cfg.OnlineSteps})
+	rep.Tuner = "CDBTune"
 	return rep
 }

@@ -12,10 +12,10 @@
 package ottertune
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
-	"time"
 
 	"deepcat/internal/analysis"
 	"deepcat/internal/env"
@@ -206,76 +206,83 @@ func New(rng *rand.Rand, repo *Repository, cfg Config) (*OtterTune, error) {
 // is the repository label to hold out (normally e.Label(); pass "" to allow
 // self-mapping).
 func (o *OtterTune) OnlineTune(e env.Environment, excludeLabel string) *env.Report {
-	rep := &env.Report{Tuner: "OtterTune", EnvLabel: e.Label(), BestTime: 1e18}
-	var obsX [][]float64
-	var obsY []float64
-	var obsMetrics []float64
-	var sel []int // selected knob indices when knob selection is on
+	rep, _ := env.RunOnline(context.Background(), o.Session(e, excludeLabel), e, env.Loop{Steps: o.Cfg.OnlineSteps})
+	rep.Tuner = "OtterTune"
+	return rep
+}
 
-	for step := 0; step < o.Cfg.OnlineSteps; step++ {
-		recStart := time.Now()
+// Session is one online tuning session of OtterTune on one environment: the
+// target's own observations, their running-mean metrics signature and the
+// knob selection, all of which start empty for every tuning request.
+type Session struct {
+	o            *OtterTune
+	e            env.Environment
+	excludeLabel string
+	obsX         [][]float64
+	obsY         []float64
+	obsMetrics   []float64
+	sel          []int // selected knob indices when knob selection is on
+}
 
-		// Workload mapping: use accumulated target metrics; before any
-		// observation exists, fall back to matching by default time,
-		// which the tuner knows from the standing system.
-		var mappedIdx int
-		if obsMetrics != nil {
-			mappedIdx = o.Repo.MapWorkload(obsMetrics, excludeLabel)
-		} else {
-			mappedIdx = o.mapByDefaultTime(e.DefaultTime(), excludeLabel)
-		}
-		mapped := o.Repo.Workloads[mappedIdx]
+// Session starts a tuning session on e, holding out the repository entry
+// labelled excludeLabel.
+func (o *OtterTune) Session(e env.Environment, excludeLabel string) *Session {
+	return &Session{o: o, e: e, excludeLabel: excludeLabel}
+}
 
-		// Lasso knob selection (once per session, on the first mapped
-		// workload's data): restrict the tuned dimensions to the most
-		// important knobs, as OtterTune's pipeline does.
-		if o.Cfg.TopKnobs > 0 && sel == nil {
-			ranking, rerr := analysis.KnobImportance(e.Space(), mapped.X, mapped.Y, 0)
-			if rerr == nil {
-				sel = analysis.TopK(ranking, o.Cfg.TopKnobs)
-			}
-		}
+// Suggest maps the target onto a repository workload, retrains the GP on
+// the mapped history plus the target's observations and returns the
+// candidate maximizing Expected Improvement. OtterTune ignores the system
+// state and the failure flag.
+func (s *Session) Suggest([]float64, bool) ([]float64, bool) {
+	o, e := s.o, s.e
+	// Workload mapping: use accumulated target metrics; before any
+	// observation exists, fall back to matching by default time, which the
+	// tuner knows from the standing system.
+	var mappedIdx int
+	if s.obsMetrics != nil {
+		mappedIdx = o.Repo.MapWorkload(s.obsMetrics, s.excludeLabel)
+	} else {
+		mappedIdx = o.mapByDefaultTime(e.DefaultTime(), s.excludeLabel)
+	}
+	mapped := o.Repo.Workloads[mappedIdx]
 
-		// Assemble GP training data: mapped history + weighted target
-		// observations, projected onto the selected knobs when knob
-		// selection is active and mapped into GP feature space.
-		x, y := o.trainingSet(mapped, obsX, obsY)
-		model, err := o.fitGP(e, projectAll(x, sel), y, sel)
-
-		var action []float64
-		if err != nil {
-			// Degenerate GP (should not happen): random fallback keeps
-			// the session alive.
-			action = e.Space().RandomAction(o.rng)
-		} else {
-			action = o.maximizeEI(e, model, obsX, obsY, mapped, sel)
-		}
-		rec := time.Since(recStart).Seconds()
-
-		outcome := e.Evaluate(action)
-		obsX = append(obsX, mat.CloneSlice(action))
-		obsY = append(obsY, outcome.ExecTime)
-		if obsMetrics == nil {
-			obsMetrics = mat.CloneSlice(outcome.Metrics)
-		} else {
-			// Running mean of target metrics.
-			for j := range obsMetrics {
-				obsMetrics[j] = (obsMetrics[j]*float64(step) + outcome.Metrics[j]) / float64(step+1)
-			}
-		}
-
-		rep.Steps = append(rep.Steps, env.TuningStep{
-			Action:           mat.CloneSlice(action),
-			ExecTime:         outcome.ExecTime,
-			RecommendSeconds: rec,
-			Failed:           outcome.Failed,
-		})
-		if !outcome.Failed && outcome.ExecTime < rep.BestTime {
-			rep.BestTime = outcome.ExecTime
-			rep.BestAction = mat.CloneSlice(action)
+	// Lasso knob selection (once per session, on the first mapped
+	// workload's data): restrict the tuned dimensions to the most
+	// important knobs, as OtterTune's pipeline does.
+	if o.Cfg.TopKnobs > 0 && s.sel == nil {
+		ranking, rerr := analysis.KnobImportance(e.Space(), mapped.X, mapped.Y, 0)
+		if rerr == nil {
+			s.sel = analysis.TopK(ranking, o.Cfg.TopKnobs)
 		}
 	}
-	return rep
+
+	// Assemble GP training data: mapped history + weighted target
+	// observations, projected onto the selected knobs when knob selection
+	// is active and mapped into GP feature space.
+	x, y := o.trainingSet(mapped, s.obsX, s.obsY)
+	model, err := o.fitGP(e, projectAll(x, s.sel), y, s.sel)
+	if err != nil {
+		// Degenerate GP (should not happen): random fallback keeps the
+		// session alive.
+		return e.Space().RandomAction(o.rng), false
+	}
+	return o.maximizeEI(e, model, s.obsX, s.obsY, mapped, s.sel), false
+}
+
+// Learn adds the measurement to the target's observations and folds its
+// internal metrics into the running-mean signature used for mapping.
+func (s *Session) Learn(ob env.Observation) {
+	n := float64(len(s.obsY))
+	s.obsX = append(s.obsX, mat.CloneSlice(ob.Action))
+	s.obsY = append(s.obsY, ob.Outcome.ExecTime)
+	if s.obsMetrics == nil {
+		s.obsMetrics = mat.CloneSlice(ob.Outcome.Metrics)
+		return
+	}
+	for j := range s.obsMetrics {
+		s.obsMetrics[j] = (s.obsMetrics[j]*n + ob.Outcome.Metrics[j]) / (n + 1)
+	}
 }
 
 // mapByDefaultTime picks the repository workload with the closest default

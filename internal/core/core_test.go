@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -231,8 +232,8 @@ func TestOnlineTuneTimeBudget(t *testing.T) {
 	e := testEnv(t, "TS")
 	d := newTuner(t, e, 11)
 	d.OfflineTrain(e, 80, nil)
-	d.Cfg.TimeBudgetSeconds = 1 // exhausted after the first evaluation
-	rep := d.OnlineTune(e)
+	// The budget is exhausted after the first evaluation.
+	rep, _ := env.RunOnline(context.Background(), d, e, env.Loop{Steps: d.Cfg.OnlineSteps, BudgetSeconds: 1})
 	if len(rep.Steps) != 1 {
 		t.Fatalf("budgeted run took %d steps, want 1", len(rep.Steps))
 	}

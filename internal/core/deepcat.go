@@ -47,10 +47,6 @@ type Config struct {
 	// OnlineSteps is the online fine-tuning step budget (the paper uses 5,
 	// following CDBTune).
 	OnlineSteps int
-	// TimeBudgetSeconds optionally bounds the total online tuning cost
-	// (evaluation plus recommendation time); 0 disables the bound. Tuning
-	// stops before the step that would follow exceeding the budget.
-	TimeBudgetSeconds float64
 	// FineTuneIters is the number of gradient updates after each online
 	// evaluation.
 	FineTuneIters int
@@ -59,12 +55,6 @@ type Config struct {
 	// failure regions the offline model did not know about (workload or
 	// hardware shift). Zero disables recovery noise.
 	RecoverySigma float64
-
-	// Hardening configures the fault-tolerant online loop (OnlineTuneCtx):
-	// per-evaluation deadlines, jittered retry, outcome sanitizing and
-	// last-known-good fallback. The zero value disables all of it, which
-	// keeps the classic infallible loop bit-identical.
-	Hardening Hardening
 
 	// TwinQ configures the Twin-Q Optimizer; UseTwinQ disables it for
 	// ablations when false.
@@ -317,8 +307,8 @@ type SuggestStats struct {
 // actor's deterministic action (or a recovery-noise perturbation when the
 // previous evaluation failed), repaired by the Twin-Q Optimizer when its
 // twin-critic score falls below Q_th. This is one half of the incremental
-// online-tuning API used by the tuning service; OnlineTune composes it with
-// Observe into the paper's closed loop.
+// online-tuning API used by the tuning service; env.RunOnline composes it
+// with Learn into the paper's closed loop.
 func (d *DeepCAT) Suggest(state []float64, lastFailed bool) (action []float64, optimized bool) {
 	action, st := d.SuggestWithStats(state, lastFailed)
 	return action, st.Optimized
@@ -407,7 +397,7 @@ func (d *DeepCAT) observe(state, action []float64, execTime, prevTime, defTime f
 	})
 	if train {
 		for i := 0; i < d.Cfg.FineTuneIters && d.Buffer.Len() >= 2; i++ {
-			d.trainOnce(minI(d.Cfg.BatchSize, d.Buffer.Len()))
+			d.trainOnce(min(d.Cfg.BatchSize, d.Buffer.Len()))
 		}
 	}
 	if sp != nil {
@@ -416,19 +406,20 @@ func (d *DeepCAT) observe(state, action []float64, execTime, prevTime, defTime f
 	return r
 }
 
-// OnlineTune runs the online tuning stage on environment e: at each step
-// the actor proposes a configuration for the current state, the Twin-Q
-// Optimizer repairs it if its twin-critic score is sub-optimal, the result
-// is evaluated on the target system, and the agent is fine-tuned on the new
-// experience. Tuning stops after Cfg.OnlineSteps steps or when the time
-// budget is exhausted, and the best configuration found is reported.
-//
-// OnlineTune is the classic infallible entry point: it delegates to
-// OnlineTuneCtx with a background context, which with a zero-valued
-// Cfg.Hardening reproduces the original loop exactly (same evaluations,
-// same RNG consumption, same transitions).
+// Learn is Observe for an accepted online step, making DeepCAT an
+// env.Tuner.
+func (d *DeepCAT) Learn(o env.Observation) {
+	d.Observe(o.State, o.Action, o.Outcome.ExecTime, o.PrevTime, o.DefTime, o.Outcome.State, o.Done)
+}
+
+// OnlineTune runs the online tuning stage on environment e for
+// Cfg.OnlineSteps steps through the classic env.RunOnline loop: at each
+// step the actor proposes a configuration for the current state, the
+// Twin-Q Optimizer repairs it if its twin-critic score is sub-optimal, the
+// result is evaluated, and the agent is fine-tuned on the new experience.
 func (d *DeepCAT) OnlineTune(e env.Environment) *env.Report {
-	rep, _ := d.OnlineTuneCtx(context.Background(), e)
+	rep, _ := env.RunOnline(context.Background(), d, e, env.Loop{Steps: d.Cfg.OnlineSteps, Rec: d.rec})
+	rep.Tuner = "DeepCAT"
 	return rep
 }
 
@@ -441,13 +432,6 @@ func (d *DeepCAT) reward(execTime, prevTime, defTime float64) float64 {
 }
 
 func minF(a, b float64) float64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func minI(a, b int) int {
 	if a < b {
 		return a
 	}

@@ -26,7 +26,7 @@ func (d *DeepCAT) SeedReplay(trs []rl.Transition) {
 func (d *DeepCAT) TrainFromReplay(iters int) int {
 	done := 0
 	for i := 0; i < iters && d.Buffer.Len() >= 2; i++ {
-		d.trainOnce(minI(d.Cfg.BatchSize, d.Buffer.Len()))
+		d.trainOnce(min(d.Cfg.BatchSize, d.Buffer.Len()))
 		done++
 	}
 	return done

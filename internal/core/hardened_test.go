@@ -43,11 +43,10 @@ var errScripted = errors.New("scripted evaluation failure")
 
 func fail(env.Outcome) (env.Outcome, error) { return env.Outcome{}, errScripted }
 
-func hardenedTuner(t *testing.T, e env.Environment, seed int64, h Hardening) *DeepCAT {
+func hardenedTuner(t *testing.T, e env.Environment, seed int64) *DeepCAT {
 	t.Helper()
 	cfg := DefaultConfig(e.StateDim(), e.Space().Dim())
 	cfg.FineTuneIters = 2
-	cfg.Hardening = h
 	d, err := New(rand.New(rand.NewSource(seed)), cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -55,11 +54,17 @@ func hardenedTuner(t *testing.T, e env.Environment, seed int64, h Hardening) *De
 	return d
 }
 
-// TestOnlineTuneCtxZeroHardeningMatchesClassic asserts the delegation
-// contract: with zero Hardening, snapshot-identical tuners on identical
-// environments produce bit-identical trajectories through OnlineTune (the
-// classic entry point) and OnlineTuneCtx.
-func TestOnlineTuneCtxZeroHardeningMatchesClassic(t *testing.T) {
+// runOnline drives d through env.RunOnline for its configured step count
+// under the fault policy h.
+func runOnline(ctx context.Context, d *DeepCAT, e env.Environment, h env.Hardening) (*env.Report, error) {
+	return env.RunOnline(ctx, d, e, env.Loop{Steps: d.Cfg.OnlineSteps, Hardening: h})
+}
+
+// TestRunOnlineZeroHardeningMatchesClassic asserts the delegation contract:
+// with zero Hardening, snapshot-identical tuners on identical environments
+// produce bit-identical trajectories through OnlineTune (the classic entry
+// point) and env.RunOnline.
+func TestRunOnlineZeroHardeningMatchesClassic(t *testing.T) {
 	d := newTuner(t, testEnv(t, "TS"), 11)
 	d.Cfg.FineTuneIters = 2
 	snap, err := d.Snapshot()
@@ -75,7 +80,7 @@ func TestOnlineTuneCtxZeroHardeningMatchesClassic(t *testing.T) {
 		t.Fatal(err)
 	}
 	repA := a.OnlineTune(testEnv(t, "TS"))
-	repB, err := b.OnlineTuneCtx(context.Background(), testEnv(t, "TS"))
+	repB, err := runOnline(context.Background(), b, testEnv(t, "TS"), env.Hardening{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,8 +112,8 @@ func TestHardenedRetryRecoversTransientFailure(t *testing.T) {
 		// Step 1's first two attempts fail; the third succeeds.
 		script: []func(env.Outcome) (env.Outcome, error){fail, fail},
 	}
-	d := hardenedTuner(t, se, 12, Hardening{EvalRetries: 2, RetryBaseDelay: time.Millisecond})
-	rep, err := d.OnlineTuneCtx(context.Background(), se)
+	d := hardenedTuner(t, se, 12)
+	rep, err := runOnline(context.Background(), d, se, env.Hardening{EvalRetries: 2, RetryBaseDelay: time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,8 +135,8 @@ func TestHardenedFallbackToLastKnownGood(t *testing.T) {
 		// attempt (call 1) fails, so call 2 is the LKG fallback.
 		script: []func(env.Outcome) (env.Outcome, error){nil, fail},
 	}
-	d := hardenedTuner(t, se, 13, Hardening{FallbackLKG: true})
-	rep, err := d.OnlineTuneCtx(context.Background(), se)
+	d := hardenedTuner(t, se, 13)
+	rep, err := runOnline(context.Background(), d, se, env.Hardening{FallbackLKG: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,9 +162,9 @@ func TestHardenedFaultWithoutFallback(t *testing.T) {
 		SparkEnv: testEnv(t, "TS"),
 		script:   []func(env.Outcome) (env.Outcome, error){fail, fail, fail, fail, fail},
 	}
-	d := hardenedTuner(t, se, 14, Hardening{})
+	d := hardenedTuner(t, se, 14)
 	before := d.Buffer.Len()
-	rep, err := d.OnlineTuneCtx(context.Background(), se)
+	rep, err := runOnline(context.Background(), d, se, env.Hardening{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,8 +193,8 @@ func TestHardenedSanitizerQuarantinesCorruption(t *testing.T) {
 		SparkEnv: testEnv(t, "TS"),
 		script:   []func(env.Outcome) (env.Outcome, error){nil, corruptNaN},
 	}
-	d := hardenedTuner(t, se, 15, Hardening{SanitizeWindow: 20})
-	rep, err := d.OnlineTuneCtx(context.Background(), se)
+	d := hardenedTuner(t, se, 15)
+	rep, err := runOnline(context.Background(), d, se, env.Hardening{SanitizeWindow: 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,11 +212,11 @@ func TestHardenedSanitizerQuarantinesCorruption(t *testing.T) {
 	}
 }
 
-func TestOnlineTuneCtxHonorsCancellation(t *testing.T) {
+func TestRunOnlineHonorsCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	d := newTuner(t, testEnv(t, "TS"), 16)
-	rep, err := d.OnlineTuneCtx(ctx, testEnv(t, "TS"))
+	rep, err := runOnline(ctx, d, testEnv(t, "TS"), env.Hardening{})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled run = %v, want context.Canceled", err)
 	}

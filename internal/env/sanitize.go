@@ -79,11 +79,20 @@ func NewSanitizer(window int, k float64) *Sanitizer {
 	return &Sanitizer{Window: window, MADK: k, MinSamples: 5}
 }
 
-// Check validates a measured outcome against both gates without admitting
-// it to the history; call Admit once the outcome has actually been used.
+// Check validates a measured outcome without admitting it to the history;
+// call Admit once the outcome has actually been used. Non-finite values are
+// always rejected; the outlier test applies to successful runs only, since
+// a failed run's execution time is a penalty price, not a measurement. A
+// nil sanitizer accepts everything (the classic contract).
 func (s *Sanitizer) Check(o Outcome) error {
+	if s == nil {
+		return nil
+	}
 	if err := CheckFinite(o); err != nil {
 		return err
+	}
+	if o.Failed {
+		return nil
 	}
 	return s.CheckTime(o.ExecTime)
 }

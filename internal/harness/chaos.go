@@ -20,8 +20,8 @@ type ChaosOptions struct {
 	// Chaos is the fault profile injected into the faulted run.
 	Chaos chaos.Config
 	// Hardening is the fault policy of the faulted run's online loop; the
-	// zero value selects core.DefaultHardening().
-	Hardening core.Hardening
+	// zero value selects env.DefaultHardening().
+	Hardening env.Hardening
 	// Steps overrides the online tuning budget for both runs (0 keeps the
 	// harness default).
 	Steps int
@@ -58,8 +58,8 @@ func (h *Harness) RunChaos(ctx context.Context, opts ChaosOptions) (*ChaosResult
 		steps = h.Opts.OnlineSteps
 	}
 	hard := opts.Hardening
-	if hard == (core.Hardening{}) {
-		hard = core.DefaultHardening()
+	if hard == (env.Hardening{}) {
+		hard = env.DefaultHardening()
 	}
 
 	model := h.DeepCATModel(h.EnvA(opts.Workload, opts.InputIdx), 0)
@@ -77,8 +77,7 @@ func (h *Harness) RunChaos(ctx context.Context, opts ChaosOptions) (*ChaosResult
 	if err != nil {
 		return nil, err
 	}
-	base.Cfg.OnlineSteps = steps
-	baseRep, err := base.OnlineTuneCtx(ctx, newEnv())
+	baseRep, err := env.RunOnline(ctx, base, newEnv(), env.Loop{Steps: steps})
 	if err != nil {
 		return nil, fmt.Errorf("harness: baseline run: %w", err)
 	}
@@ -87,13 +86,12 @@ func (h *Harness) RunChaos(ctx context.Context, opts ChaosOptions) (*ChaosResult
 	if err != nil {
 		return nil, err
 	}
-	faulted.Cfg.OnlineSteps = steps
-	faulted.Cfg.Hardening = hard
 	chaosEnv := chaos.Wrap(newEnv(), opts.Chaos)
-	faultRep, err := faulted.OnlineTuneCtx(ctx, chaosEnv)
+	faultRep, err := env.RunOnline(ctx, faulted, chaosEnv, env.Loop{Steps: steps, Hardening: hard})
 	if err != nil {
 		return nil, fmt.Errorf("harness: faulted run: %w", err)
 	}
+	baseRep.Tuner, faultRep.Tuner = "DeepCAT", "DeepCAT"
 
 	res := &ChaosResult{
 		EnvLabel: chaosEnv.Label(),

@@ -9,7 +9,7 @@ import (
 	"time"
 
 	"deepcat/internal/chaos"
-	"deepcat/internal/core"
+	"deepcat/internal/env"
 	"deepcat/internal/sparksim"
 )
 
@@ -124,7 +124,7 @@ func TestRunChaosZeroProfile(t *testing.T) {
 		Workload:  chaosWorkload(t, "TS"),
 		InputIdx:  1,
 		Chaos:     chaos.Config{Seed: 1},
-		Hardening: core.DefaultHardening(),
+		Hardening: env.DefaultHardening(),
 		Steps:     5,
 	})
 	if err != nil {

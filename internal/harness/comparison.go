@@ -10,6 +10,18 @@ import (
 // TunerNames lists the compared approaches in presentation order.
 var TunerNames = []string{"DeepCAT", "CDBTune", "OtterTune"}
 
+// comparedTuners maps each name in TunerNames to one online tuning session
+// of that tuner under a replication seed: DeepCAT and CDBTune models
+// offline-trained on src are cloned for every session, OtterTune is seeded
+// with otterOffset+seed, and every session tunes target.
+func (h *Harness) comparedTuners(src, target env.Environment, otterOffset int64) map[string]func(seed int64) *env.Report {
+	return map[string]func(int64) *env.Report{
+		"DeepCAT":   func(s int64) *env.Report { return h.DeepCATModel(src, s).Clone().OnlineTune(target) },
+		"CDBTune":   func(s int64) *env.Report { return h.CDBTuneModel(src, s).Clone().OnlineTune(target) },
+		"OtterTune": func(s int64) *env.Report { return h.OtterTuner(otterOffset+s).OnlineTune(target, target.Label()) },
+	}
+}
+
 // PairComparison aggregates the online tuning sessions of all three tuners
 // on one workload-input pair.
 type PairComparison struct {
@@ -19,43 +31,32 @@ type PairComparison struct {
 	Reports map[string][]*env.Report
 }
 
-// MeanSpeedup returns the average Fig. 6 speedup of the named tuner.
-func (p PairComparison) MeanSpeedup(tuner string) float64 {
+// meanOf averages f over the named tuner's reports (0 when it has none).
+func (p PairComparison) meanOf(tuner string, f func(*env.Report) float64) float64 {
 	reps := p.Reports[tuner]
 	if len(reps) == 0 {
 		return 0
 	}
 	var s float64
 	for _, r := range reps {
-		s += r.Speedup(p.DefaultTime)
+		s += f(r)
 	}
 	return s / float64(len(reps))
+}
+
+// MeanSpeedup returns the average Fig. 6 speedup of the named tuner.
+func (p PairComparison) MeanSpeedup(tuner string) float64 {
+	return p.meanOf(tuner, func(r *env.Report) float64 { return r.Speedup(p.DefaultTime) })
 }
 
 // MeanTotalCost returns the average Fig. 7 total online tuning time.
 func (p PairComparison) MeanTotalCost(tuner string) float64 {
-	reps := p.Reports[tuner]
-	if len(reps) == 0 {
-		return 0
-	}
-	var s float64
-	for _, r := range reps {
-		s += r.TotalCost()
-	}
-	return s / float64(len(reps))
+	return p.meanOf(tuner, (*env.Report).TotalCost)
 }
 
 // MeanRecommendCost returns the average recommendation-time component.
 func (p PairComparison) MeanRecommendCost(tuner string) float64 {
-	reps := p.Reports[tuner]
-	if len(reps) == 0 {
-		return 0
-	}
-	var s float64
-	for _, r := range reps {
-		s += r.RecommendationCost()
-	}
-	return s / float64(len(reps))
+	return p.meanOf(tuner, (*env.Report).RecommendationCost)
 }
 
 // ComparisonResult holds the full 12-pair, 3-tuner study behind Figures 6,
@@ -107,15 +108,11 @@ func (h *Harness) RunComparison() *ComparisonResult {
 			DefaultTime: e.DefaultTime(),
 			Reports:     make(map[string][]*env.Report),
 		}
+		run := h.comparedTuners(e, e, 0)
 		for s := int64(0); s < int64(h.Opts.Replications); s++ {
-			dc := h.DeepCATModel(e, s)
-			pc.Reports["DeepCAT"] = append(pc.Reports["DeepCAT"], dc.Clone().OnlineTune(e))
-
-			cb := h.CDBTuneModel(e, s)
-			pc.Reports["CDBTune"] = append(pc.Reports["CDBTune"], cb.Clone().OnlineTune(e))
-
-			ot := h.OtterTuner(s)
-			pc.Reports["OtterTune"] = append(pc.Reports["OtterTune"], ot.OnlineTune(e, e.Label()))
+			for _, tn := range TunerNames {
+				pc.Reports[tn] = append(pc.Reports[tn], run[tn](s))
+			}
 		}
 		res.Pairs[i] = pc
 	})

@@ -76,18 +76,16 @@ func (h *Harness) RunDynamic(shorts []string, requests int) (DynamicResult, erro
 	// OtterTune: repository shared with the other experiments.
 	ot := h.OtterTuner(400)
 
+	tune := map[string]func(env.Environment) *env.Report{
+		"DeepCAT":   dc.OnlineTune,
+		"CDBTune":   cb.OnlineTune,
+		"OtterTune": func(e env.Environment) *env.Report { return ot.OnlineTune(e, e.Label()) },
+	}
 	for r := 0; r < requests; r++ {
 		e := envs[r%len(envs)]
-		pair := e.Label()
-
-		dcRep := dc.OnlineTune(e)
-		res.record(&res.Steps, r, pair, "DeepCAT", dcRep, e.DefaultTime())
-
-		cbRep := cb.OnlineTune(e)
-		res.record(&res.Steps, r, pair, "CDBTune", cbRep, e.DefaultTime())
-
-		otRep := ot.OnlineTune(e, e.Label())
-		res.record(&res.Steps, r, pair, "OtterTune", otRep, e.DefaultTime())
+		for _, tn := range TunerNames {
+			res.record(&res.Steps, r, e.Label(), tn, tune[tn](e), e.DefaultTime())
+		}
 	}
 	n := float64(requests)
 	for _, tn := range TunerNames {

@@ -55,16 +55,14 @@ func (h *Harness) RunFig9() Fig9Result {
 
 	res.CDBTune = Fig9Row{Label: "CDBTune(PR)"}
 	res.OtterTune = Fig9Row{Label: "OtterTune(PR)"}
+	native := map[string]*Fig9Row{"CDBTune": &res.CDBTune, "OtterTune": &res.OtterTune}
+	run := h.comparedTuners(target, target, 100)
 	for s := int64(0); s < int64(h.Opts.Replications); s++ {
-		cb := h.CDBTuneModel(target, s)
-		rep := cb.Clone().OnlineTune(target)
-		res.CDBTune.BestTime += rep.BestTime / reps
-		res.CDBTune.Cost += rep.TotalCost() / reps
-
-		ot := h.OtterTuner(100 + s)
-		rep = ot.OnlineTune(target, target.Label())
-		res.OtterTune.BestTime += rep.BestTime / reps
-		res.OtterTune.Cost += rep.TotalCost() / reps
+		for _, tn := range []string{"CDBTune", "OtterTune"} {
+			rep := run[tn](s)
+			native[tn].BestTime += rep.BestTime / reps
+			native[tn].Cost += rep.TotalCost() / reps
+		}
 	}
 	return res
 }
@@ -117,19 +115,11 @@ func (h *Harness) RunFig10() Fig10Result {
 		for _, tn := range TunerNames {
 			rows[tn] = &Fig10Row{Pair: pair, Tuner: tn}
 		}
+		run := h.comparedTuners(srcEnv, target, 200)
 		for s := int64(0); s < int64(h.Opts.Replications); s++ {
-			var out *env.Report
-			d := h.DeepCATModel(srcEnv, s)
-			out = d.Clone().OnlineTune(target)
-			accumulate(rows["DeepCAT"], out, target.DefaultTime(), reps)
-
-			cb := h.CDBTuneModel(srcEnv, s)
-			out = cb.Clone().OnlineTune(target)
-			accumulate(rows["CDBTune"], out, target.DefaultTime(), reps)
-
-			ot := h.OtterTuner(200 + s)
-			out = ot.OnlineTune(target, target.Label())
-			accumulate(rows["OtterTune"], out, target.DefaultTime(), reps)
+			for _, tn := range TunerNames {
+				accumulate(rows[tn], run[tn](s), target.DefaultTime(), reps)
+			}
 		}
 		for _, tn := range TunerNames {
 			res.Rows = append(res.Rows, *rows[tn])

@@ -418,11 +418,18 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	return true
 }
 
-// writeJSON writes v with the given status.
+// writeJSON writes v with the given status. v is encoded before the status
+// goes out, so a reply JSON cannot carry (a NaN action, say) becomes a 500
+// ErrorResponse instead of a 200 with an empty body.
 func writeJSON(w http.ResponseWriter, status int, v any) {
+	b, err := json.Marshal(v)
+	if err != nil {
+		status = http.StatusInternalServerError
+		b, _ = json.Marshal(ErrorResponse{Error: fmt.Sprintf("encode response: %s", err)})
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
+	_, _ = w.Write(append(b, '\n'))
 }
 
 // writeErr maps the service sentinel errors onto HTTP statuses. Every

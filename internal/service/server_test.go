@@ -177,6 +177,10 @@ func TestEndToEndTuningWithRestart(t *testing.T) {
 func TestServerErrorMapping(t *testing.T) {
 	_, c, stop := startDaemon(t, t.TempDir(), 1)
 	defer stop()
+	// Only statuses are under test: without retries the "over capacity"
+	// 503 (Retry-After: 5) answers at once instead of after three waits.
+	// TestRetryAfterHeaderHonored covers the retry path.
+	c.Retry = client.RetryPolicy{}
 
 	wantStatus := func(err error, want int, what string) {
 		t.Helper()
