@@ -1,7 +1,7 @@
 // Package env defines the tuning-target abstraction that DeepCAT and the
-// baseline tuners drive, the one online loop (RunOnline) that drives any
-// Tuner against it, and the report types that record what an online tuning
-// session cost and found.
+// baseline tuners drive, the one online step (Stepper) that RunOnline and
+// the tuning service both run, and the report types that record what an
+// online tuning session cost and found.
 //
 // An Environment is a black box: the tuner submits a normalized
 // configuration action, the environment runs it (here: the sparksim cluster

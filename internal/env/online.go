@@ -47,17 +47,16 @@ type Loop struct {
 	// (evaluation plus recommendation time); 0 disables the bound. Tuning
 	// stops before the step that would follow exceeding the budget.
 	BudgetSeconds float64
-	// Hardening is the fault policy; the zero value is the classic
-	// infallible loop.
+	// Hardening is the fault policy; the zero value is the classic loop.
 	Hardening Hardening
 	// Rec receives fault and quarantine events; nil records nothing.
 	Rec trace.Recorder
 }
 
 // Hardening configures the fault-tolerant online loop. The zero value
-// disables every mechanism, making RunOnline behave exactly like the
-// classic infallible loop; enable pieces independently as the target
-// environment warrants.
+// disables every mechanism, making RunOnline the classic loop with only
+// the Stepper's non-finite check; enable pieces independently as the
+// target environment warrants.
 type Hardening struct {
 	// EvalTimeout bounds one environment evaluation attempt; a straggler
 	// past the deadline is abandoned and surfaces as a timeout fault. Zero
@@ -71,9 +70,9 @@ type Hardening struct {
 	// draws from a loop-local RNG, never the tuner's — retry timing cannot
 	// perturb tuning decisions.
 	RetryBaseDelay time.Duration
-	// SanitizeWindow enables the outcome sanitizer with this many recent
-	// successful execution times as the outlier baseline; 0 disables
-	// sanitizing entirely (including the non-finite check).
+	// SanitizeWindow enables the outlier test with this many recent
+	// successful execution times as its baseline; 0 disables it. The
+	// non-finite check runs regardless (see Stepper).
 	SanitizeWindow int
 	// SanitizeMADK is the MAD multiple past which an execution time is
 	// quarantined (default DefaultMADK). Only the upper tail is tested: a
@@ -98,34 +97,26 @@ func DefaultHardening() Hardening {
 	}
 }
 
-// RunOnline is the online tuning loop of the paper's Fig. 1: at each step
-// the tuner suggests a configuration for the current state, the
-// environment evaluates it, and the tuner learns from the measurement; the
-// best configuration found is reported. l.Hardening adds per-evaluation
-// deadlines, jittered retry, last-known-good fallback and outcome
-// sanitizing. Faulted and quarantined steps never reach Learn, but they set
-// the failure flag so the next Suggest can explore away.
+// RunOnline is the online tuning loop of the paper's Fig. 1, driving a
+// Stepper: at each step the tuner suggests a configuration for the current
+// state, the environment evaluates it, and the tuner learns from the
+// measurement; the best configuration found is reported. l.Hardening adds
+// per-evaluation deadlines, jittered retry, last-known-good fallback and
+// the outlier test.
 //
-// Each step's RecommendSeconds is the wall time spent inside Suggest and
-// Learn. The report's Tuner name is left for the caller to fill in. The
-// returned error is non-nil only when ctx ends the run early; the report
-// always covers the steps completed so far.
+// Each step's RecommendSeconds is the wall time spent inside the stepper's
+// Next and Record. The report's Tuner name is left for the caller to fill
+// in. The returned error is non-nil only when ctx ends the run early; the
+// report always covers the steps completed so far.
 func RunOnline(ctx context.Context, t Tuner, e Environment, l Loop) (*Report, error) {
 	h := l.Hardening
-	var san *Sanitizer
-	if h.SanitizeWindow > 0 {
-		san = NewSanitizer(h.SanitizeWindow, h.SanitizeMADK)
-	}
+	sp := NewStepper(t, e, h.SanitizeWindow, h.SanitizeMADK)
+	sp.Horizon = l.Steps
 	// Backoff jitter only; deliberately not the tuner's RNG, so hardened
 	// and classic runs consume identical tuner randomness.
 	jrng := rand.New(rand.NewSource(1))
-
 	rep := &Report{EnvLabel: e.Label(), BestTime: inf()}
-	state := e.IdleState()
-	defTime := e.DefaultTime()
-	prevTime := defTime
-	lastFailed := false
-	for step := 0; step < l.Steps; step++ {
+	for sp.Step < l.Steps {
 		if err := ctx.Err(); err != nil {
 			return rep, err
 		}
@@ -133,74 +124,53 @@ func RunOnline(ctx context.Context, t Tuner, e Environment, l Loop) (*Report, er
 			break
 		}
 		start := time.Now()
-		action, optimized := t.Suggest(state, lastFailed)
-		st := TuningStep{
-			Action:           mat.CloneSlice(action),
-			Optimized:        optimized,
-			RecommendSeconds: time.Since(start).Seconds(),
-		}
+		action, optimized := sp.Next()
+		recommend := time.Since(start)
 		outcome, retries, evalErr := h.evaluate(ctx, e, action, jrng)
-		st.Retries = retries
+		st := TuningStep{Action: mat.CloneSlice(action), Optimized: optimized, Retries: retries}
 		rep.Retries += retries
-
-		if evalErr != nil && h.FallbackLKG && rep.BestAction != nil && ctx.Err() == nil {
-			if fo, ferr := h.evaluateOnce(ctx, e, rep.BestAction); ferr == nil && san.Check(fo) == nil {
-				outcome, evalErr = fo, nil
-				action = rep.BestAction
-				st.Action = mat.CloneSlice(rep.BestAction)
-				st.Fallback = true
+		if evalErr != nil && h.FallbackLKG && sp.BestAction != nil && ctx.Err() == nil {
+			if fo, ferr := h.evaluateOnce(ctx, e, sp.BestAction); ferr == nil && sp.check(fo) == nil {
+				outcome, evalErr, action = fo, nil, sp.BestAction
+				st.Action, st.Fallback = mat.CloneSlice(action), true
 				rep.Fallbacks++
 			}
 		}
-		kind := "env_fault"
-		if evalErr != nil {
-			st.Fault = faultName(evalErr)
-			rep.Faults++
-		} else if evalErr = san.Check(outcome); evalErr != nil {
-			kind, st.Rejected = "sanitize_reject", true
-			rep.Rejected++
-		}
-		if evalErr != nil {
-			st.Failed = true
-			rep.Steps = append(rep.Steps, st)
-			lastFailed = true
-			if sp := trace.Begin(l.Rec, kind); sp != nil {
-				sp.Attr("kind", faultName(evalErr)).AttrInt("step", step).
-					AttrInt("retries", retries).Attr("error", evalErr.Error()).End()
-			}
-			// A quarantined step had its measurement; only a fault can
-			// mean that ctx ended the run.
-			if err := ctx.Err(); err != nil && !st.Rejected {
-				return rep, err
-			}
-			continue
-		}
-
 		start = time.Now()
-		t.Learn(Observation{
-			State:    state,
-			Action:   action,
-			Outcome:  outcome,
-			PrevTime: prevTime,
-			DefTime:  defTime,
-			Done:     step == l.Steps-1,
-		})
-		st.RecommendSeconds += time.Since(start).Seconds()
-		if san != nil && !outcome.Failed {
-			san.Admit(outcome.ExecTime)
+		rejected, improved := sp.Record(action, outcome, evalErr)
+		st.RecommendSeconds = (recommend + time.Since(start)).Seconds()
+		switch {
+		case evalErr != nil:
+			st.Fault, st.Failed = faultName(evalErr), true
+			rep.Faults++
+			traceFault(l.Rec, "env_fault", evalErr, sp.Step-1, retries)
+		case rejected != nil:
+			st.Rejected, st.Failed = true, true
+			rep.Rejected++
+			traceFault(l.Rec, "sanitize_reject", rejected, sp.Step-1, retries)
+		default:
+			st.ExecTime, st.Failed = outcome.ExecTime, outcome.Failed
 		}
-		st.ExecTime = outcome.ExecTime
-		st.Failed = outcome.Failed
 		rep.Steps = append(rep.Steps, st)
-		if !outcome.Failed && outcome.ExecTime < rep.BestTime {
-			rep.BestTime = outcome.ExecTime
-			rep.BestAction = mat.CloneSlice(action)
+		if improved {
+			rep.BestTime, rep.BestAction = sp.BestTime, sp.BestAction
 		}
-		lastFailed = outcome.Failed
-		prevTime = outcome.ExecTime
-		state = outcome.State
+		// A rejected step had its measurement; only a fault can mean that
+		// ctx ended the run.
+		if err := ctx.Err(); err != nil && evalErr != nil {
+			return rep, err
+		}
 	}
 	return rep, nil
+}
+
+// traceFault records a step that taught the tuner nothing, kind being
+// env_fault or sanitize_reject.
+func traceFault(rec trace.Recorder, kind string, err error, step, retries int) {
+	if sp := trace.Begin(rec, kind); sp != nil {
+		sp.Attr("kind", faultName(err)).AttrInt("step", step).
+			AttrInt("retries", retries).Attr("error", err.Error()).End()
+	}
 }
 
 // evaluate runs one evaluation with up to EvalRetries retries under
@@ -217,7 +187,7 @@ func (h Hardening) evaluate(ctx context.Context, e Environment, action []float64
 			return Outcome{}, retries, err
 		}
 		retries++
-		sleepJittered(ctx, h.retryDelay(attempt), jrng)
+		sleepJittered(ctx, h.retryDelay(attempt+1), jrng)
 	}
 }
 

@@ -52,9 +52,9 @@ type Report struct {
 	BestTime   float64
 	BestAction []float64
 
-	// Hardened-loop accounting: environment faults that survived retrying,
-	// total retry attempts, sanitizer rejections, and last-known-good
-	// fallback evaluations. All zero for the classic infallible loop.
+	// Fault accounting: environment faults that survived retrying, total
+	// retry attempts, sanitizer rejections, and last-known-good fallback
+	// evaluations. Retries and Fallbacks stay zero without Hardening.
 	Faults    int
 	Retries   int
 	Rejected  int

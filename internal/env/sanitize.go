@@ -40,12 +40,13 @@ func CheckFinite(o Outcome) error {
 	return nil
 }
 
-// Sanitizer gates measured outcomes before they are learned from: a finite
-// check plus a robust upper-tail outlier test over the recent history of
-// accepted execution times (median absolute deviation, the standard robust
-// scale estimate). Only the upper tail is rejected — a suspiciously slow
-// measurement is a straggler, while a suspiciously fast one may be exactly
-// the improvement the tuner is searching for and must never be discarded.
+// Sanitizer is the robust upper-tail outlier test a Stepper applies to
+// successful measurements before they are learned from, over the recent
+// history of accepted execution times (median absolute deviation, the
+// standard robust scale estimate). Only the upper tail is rejected — a
+// suspiciously slow measurement is a straggler, while a suspiciously fast
+// one may be exactly the improvement the tuner is searching for and must
+// never be discarded.
 //
 // The zero value is unusable; construct with NewSanitizer. Fields are
 // exported so session checkpoints can persist the history; the sanitizer
@@ -79,25 +80,9 @@ func NewSanitizer(window int, k float64) *Sanitizer {
 	return &Sanitizer{Window: window, MADK: k, MinSamples: 5}
 }
 
-// Check validates a measured outcome without admitting it to the history;
-// call Admit once the outcome has actually been used. Non-finite values are
-// always rejected; the outlier test applies to successful runs only, since
-// a failed run's execution time is a penalty price, not a measurement. A
-// nil sanitizer accepts everything (the classic contract).
-func (s *Sanitizer) Check(o Outcome) error {
-	if s == nil {
-		return nil
-	}
-	if err := CheckFinite(o); err != nil {
-		return err
-	}
-	if o.Failed {
-		return nil
-	}
-	return s.CheckTime(o.ExecTime)
-}
-
-// CheckTime applies only the upper-tail MAD test to an execution time.
+// CheckTime applies the upper-tail MAD test to an execution time without
+// admitting it to the history; call Admit once the time has actually been
+// used.
 func (s *Sanitizer) CheckTime(execTime float64) error {
 	if len(s.Recent) < s.MinSamples {
 		return nil

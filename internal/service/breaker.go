@@ -74,22 +74,12 @@ func (r Resilience) normalize() Resilience {
 	return r
 }
 
-// healthLocked returns the session's health, normalizing the empty string
-// (checkpoints from before the breaker existed) to healthy. Callers hold
-// s.mu.
-func (s *Session) healthLocked() string {
-	if s.meta.Health == "" {
-		return HealthHealthy
-	}
-	return s.meta.Health
-}
-
 // breakerObserve advances the circuit breaker on one observation outcome
 // and returns the (previous, new) health pair. Transitions are traced,
 // counted and logged here so every caller reports them uniformly. Callers
 // hold s.mu.
 func (s *Session) breakerObserve(failed bool, now time.Time) (prev, cur string) {
-	prev = s.healthLocked()
+	prev = s.meta.Health
 	if s.res.BreakerThreshold < 0 {
 		return prev, prev
 	}

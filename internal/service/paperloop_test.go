@@ -37,7 +37,7 @@ func (c checkpointingTuner) Learn(o env.Observation) {
 	c.d.Learn(o)
 }
 
-// paperStep is what both drivers report per step.
+// paperStep is what both loops report per step.
 type paperStep struct {
 	action      []float64
 	quarantined bool

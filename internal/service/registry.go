@@ -215,17 +215,9 @@ func (m *Manager) Create(req CreateSessionRequest) (SessionInfo, error) {
 		return SessionInfo{}, err
 	}
 
-	m.mu.Lock()
-	if _, exists := m.sessions[id]; exists {
-		m.mu.Unlock()
-		return SessionInfo{}, fmt.Errorf("session %s already exists: %w", id, ErrConflict)
+	if err := m.reserve(id); err != nil {
+		return SessionInfo{}, err
 	}
-	if m.max > 0 && len(m.sessions) >= m.max {
-		m.mu.Unlock()
-		return SessionInfo{}, fmt.Errorf("%d sessions live: %w", len(m.sessions), ErrFull)
-	}
-	m.sessions[id] = nil // reserve
-	m.mu.Unlock()
 
 	var s *Session
 	var err error
@@ -256,6 +248,22 @@ func (m *Manager) Create(req CreateSessionRequest) (SessionInfo, error) {
 	m.log.Info("session created", "id", id, "workload", req.Workload, "input", req.Input,
 		"cluster", info.Cluster, "warm_started", info.WarmStarted, "donor", info.Donor)
 	return info, nil
+}
+
+// reserve claims id for a session under construction (a nil entry in
+// m.sessions). It fails with ErrConflict when the id is live or in flight
+// and with ErrFull at capacity.
+func (m *Manager) reserve(id string) error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if _, exists := m.sessions[id]; exists {
+		return fmt.Errorf("session %s already exists: %w", id, ErrConflict)
+	}
+	if m.max > 0 && len(m.sessions) >= m.max {
+		return fmt.Errorf("%d sessions live: %w", len(m.sessions), ErrFull)
+	}
+	m.sessions[id] = nil
+	return nil
 }
 
 // Get returns the session with the given id.
@@ -426,34 +434,14 @@ func (m *Manager) Resume() (int, error) {
 		if m.owned != nil && !m.owned(id) {
 			continue // a fleet peer's checkpoint in a shared store
 		}
-		if m.max > 0 && m.Count() >= m.max {
-			errs = append(errs, fmt.Errorf("checkpoint %s not resumed: %w", id, ErrFull))
-			continue
-		}
-		data, err := m.store.Load(id)
-		if err != nil {
-			errs = append(errs, err)
-			continue
-		}
-		s, err := resumeSession(data, m.wh, m.met, m.tc, m.res, m.spn)
-		if err != nil {
-			errs = append(errs, fmt.Errorf("checkpoint %s: %w", id, err))
-			continue
-		}
-		if s.Health() != HealthHealthy {
-			m.met.degradedSessions.Inc()
-		}
-		m.mu.Lock()
-		if _, exists := m.sessions[id]; exists {
-			m.mu.Unlock()
+		switch ok, err := m.ResumeOne(id); {
+		case err != nil:
+			errs = append(errs, fmt.Errorf("checkpoint %s not resumed: %w", id, err))
+		case ok:
+			resumed++
+		default:
 			errs = append(errs, fmt.Errorf("checkpoint %s collides with a live session: %w", id, ErrConflict))
-			continue
 		}
-		m.sessions[id] = s
-		m.mu.Unlock()
-		m.met.sessionsResumed.Inc()
-		m.log.Info("session resumed", "id", id, "step", s.Info().Step)
-		resumed++
 	}
 	return resumed, errors.Join(errs...)
 }
@@ -467,24 +455,19 @@ func (m *Manager) SetOwned(fn func(id string) bool) { m.owned = fn }
 // session, returning whether it did. The fleet router calls it when a
 // request for an unknown session maps to this shard: after a peer dies,
 // its sessions' write-through checkpoints are still in the shared store,
-// so the new owner picks each one up on first touch. Concurrent calls for
-// the same id are collapsed by the reservation; losers see ErrConflict
-// exactly like a racing Create and simply retry.
+// so the new owner picks each one up on first touch; Resume calls it for
+// every owned checkpoint at startup. Concurrent calls for the same id are
+// collapsed by the reservation; losers see ErrConflict exactly like a
+// racing Create and simply retry.
 func (m *Manager) ResumeOne(id string) (bool, error) {
 	if err := ValidateID(id); err != nil {
 		return false, err
 	}
-	m.mu.Lock()
-	if _, exists := m.sessions[id]; exists {
-		m.mu.Unlock()
+	if err := m.reserve(id); errors.Is(err, ErrConflict) {
 		return false, nil // already live (or being created/resumed)
+	} else if err != nil {
+		return false, err
 	}
-	if m.max > 0 && len(m.sessions) >= m.max {
-		m.mu.Unlock()
-		return false, fmt.Errorf("%d sessions live: %w", m.max, ErrFull)
-	}
-	m.sessions[id] = nil // reserve
-	m.mu.Unlock()
 
 	data, err := m.store.Load(id)
 	if err == nil {
@@ -502,7 +485,7 @@ func (m *Manager) ResumeOne(id string) (bool, error) {
 			m.sessions[id] = s
 			m.mu.Unlock()
 			m.met.sessionsResumed.Inc()
-			m.log.Info("session resumed on failover", "id", id, "step", s.Info().Step)
+			m.log.Info("session resumed", "id", id, "step", s.Info().Step)
 			return true, nil
 		}
 	}
@@ -572,17 +555,9 @@ func (m *Manager) Adopt(id string, data []byte) (SessionInfo, error) {
 	if err := VerifyCheckpoint(data); err != nil {
 		return SessionInfo{}, fmt.Errorf("adopt %s: %v: %w", id, err, ErrInvalid)
 	}
-	m.mu.Lock()
-	if _, exists := m.sessions[id]; exists {
-		m.mu.Unlock()
-		return SessionInfo{}, fmt.Errorf("session %s already exists: %w", id, ErrConflict)
+	if err := m.reserve(id); err != nil {
+		return SessionInfo{}, err
 	}
-	if m.max > 0 && len(m.sessions) >= m.max {
-		m.mu.Unlock()
-		return SessionInfo{}, fmt.Errorf("%d sessions live: %w", len(m.sessions), ErrFull)
-	}
-	m.sessions[id] = nil // reserve
-	m.mu.Unlock()
 
 	s, err := resumeSession(data, m.wh, m.met, m.tc, m.res, m.spn)
 	if err == nil && s.ID() != id {

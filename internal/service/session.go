@@ -47,7 +47,8 @@ var (
 )
 
 // sessionMeta is the persisted bookkeeping of one session; everything the
-// agent itself does not carry.
+// agent itself does not carry. Step through State and SanRecent persist the
+// session's env.Stepper; they are current only in a checkpoint.
 type sessionMeta struct {
 	ID       string
 	Workload string
@@ -106,21 +107,22 @@ type pendingSuggest struct {
 	step      int
 	action    []float64
 	optimized bool
-	// state is the system state the action was suggested for; the
-	// transition recorded at observe time starts from it.
-	state []float64
 	// degraded marks a last-known-good fallback served while the breaker
 	// is open; the model was not consulted.
 	degraded bool
 }
 
 // Session is one tuning session: a DeepCAT agent bound to a workload,
-// advancing through a suggest/observe loop under a mutex. All methods are
-// safe for concurrent use.
+// advancing through a suggest/observe loop under a mutex. The loop is an
+// env.Stepper pushed by the caller: Suggest calls Next, Observe calls
+// Record, and the session adds only service work around them. All methods are safe for
+// concurrent use.
 type Session struct {
 	mu      sync.Mutex
 	meta    sessionMeta
 	tuner   *core.DeepCAT
+	tn      *sessionTuner
+	step    *env.Stepper
 	env     *env.SparkEnv
 	pending *pendingSuggest
 	closed  bool
@@ -143,11 +145,8 @@ type Session struct {
 	// core and rl decision events land in the same per-session stream.
 	rec *trace.Session
 
-	// res is the daemon's fault-handling policy (normalized); san is the
-	// observation sanitizer, nil when res disables it. The sanitizer's
-	// history round-trips through meta.SanRecent at checkpoint time.
+	// res is the daemon's fault-handling policy (normalized).
 	res Resilience
-	san *env.Sanitizer
 
 	// spn, when set, switches the session to actor/learner mode: observe
 	// skips inline fine-tuning, actor enqueues the transition into the
@@ -220,35 +219,16 @@ func newSession(id string, req CreateSessionRequest, now time.Time, wh *warehous
 	if err != nil {
 		return nil, err
 	}
-	s := &Session{
-		meta: sessionMeta{
-			ID:        id,
-			Workload:  req.Workload,
-			Input:     req.Input,
-			Cluster:   req.Cluster,
-			Seed:      req.Seed,
-			PrevTime:  e.DefaultTime(),
-			State:     e.IdleState(),
-			CreatedAt: now,
-			UpdatedAt: now,
-		},
-		tuner: tuner,
-		env:   e,
-		wh:    wh,
-		sig:   warehouse.Signature(req.Cluster, req.Workload, req.Input),
-		met:   met,
-		rec:   newRecorder(tc, id),
-		res:   res.normalize(),
-		spn:   spn,
-	}
-	if spn != nil {
-		s.actor = spn.sp.Actor(s.sig)
-	}
-	s.meta.Health = HealthHealthy
-	if s.res.SanitizeWindow > 0 {
-		s.san = env.NewSanitizer(s.res.SanitizeWindow, s.res.SanitizeMADK)
-	}
-	tuner.SetRecorder(s.rec)
+	s := bindSession(sessionMeta{
+		ID:        id,
+		Workload:  req.Workload,
+		Input:     req.Input,
+		Cluster:   req.Cluster,
+		Seed:      req.Seed,
+		Health:    HealthHealthy,
+		CreatedAt: now,
+		UpdatedAt: now,
+	}, tuner, e, wh, met, tc, res, spn)
 	if wh != nil && !req.NoWarmStart {
 		if ws, ok := wh.WarmStart(s.sig, cfg.RewardThreshold, warmSeedMax); ok {
 			sp := trace.Begin(s.rec, "donor_adopt")
@@ -314,18 +294,17 @@ func (s *Session) infoLocked() SessionInfo {
 		Cluster:        s.meta.Cluster,
 		Seed:           s.meta.Seed,
 		State:          state,
-		Step:           s.meta.Step,
+		Step:           s.step.Step,
 		DefaultTime:    s.env.DefaultTime(),
-		BestTime:       s.meta.BestTime,
-		BestAction:     mat.CloneSlice(s.meta.BestAction),
+		BestTime:       s.step.BestTime,
+		BestAction:     mat.CloneSlice(s.step.BestAction),
 		ReplayLen:      s.tuner.Buffer.Len(),
 		WarmStarted:    s.meta.WarmStarted,
 		Donor:          s.meta.Donor,
 		SpineMode:      s.spn != nil,
 		SpineVersion:   s.meta.SpineVersion,
 		SpineAdoptions: s.meta.SpineAdoptions,
-		SpineSheds:     s.spineShedsLocked(),
-		Health:         s.healthLocked(),
+		Health:         s.meta.Health,
 		Quarantined:    s.meta.Quarantined,
 		Trips:          s.meta.BreakerTrips,
 		CreatedAt:      s.meta.CreatedAt,
@@ -334,16 +313,10 @@ func (s *Session) infoLocked() SessionInfo {
 	if rd, ok := s.tuner.Buffer.(*rl.RDPER); ok {
 		info.HighReplayLen = rd.HighLen()
 	}
-	return info
-}
-
-// spineShedsLocked reports how many of this session's transitions the
-// spine's ingest queue has dropped under backpressure.
-func (s *Session) spineShedsLocked() uint64 {
-	if s.actor == nil {
-		return 0
+	if s.actor != nil {
+		info.SpineSheds = s.actor.Sheds()
 	}
-	return s.actor.Sheds()
+	return info
 }
 
 // Suggest returns the next configuration to evaluate. While an observation
@@ -354,26 +327,12 @@ func (s *Session) spineShedsLocked() uint64 {
 // originating request is gone; reqID, when non-empty, tags the recorded
 // span so a trace line can be correlated with the daemon's request log.
 func (s *Session) Suggest(ctx context.Context, now time.Time, reqID string) (SuggestResponse, error) {
-	if err := ctx.Err(); err != nil {
-		return SuggestResponse{}, fmt.Errorf("session %s: suggest abandoned: %w", s.meta.ID, err)
+	if err := s.lockLive(ctx, "suggest"); err != nil {
+		return SuggestResponse{}, err
 	}
-	s.mu.Lock()
 	defer s.mu.Unlock()
-	// Re-check after the lock: a request whose deadline budget died while
-	// queued behind a slow holder must fail with its deadline error (504
-	// at the HTTP layer), not burn model work producing an answer nobody
-	// is waiting for.
-	if err := ctx.Err(); err != nil {
-		return SuggestResponse{}, fmt.Errorf("session %s: suggest abandoned: %w", s.meta.ID, err)
-	}
-	if s.closed {
-		return SuggestResponse{}, fmt.Errorf("session %s: %w", s.meta.ID, ErrClosed)
-	}
-	if s.draining {
-		return SuggestResponse{}, fmt.Errorf("session %s: %w", s.meta.ID, ErrDraining)
-	}
 	if s.pending == nil {
-		step := s.meta.Step + 1
+		step := s.step.Step + 1
 		s.rec.SetStep(step)
 		sp := trace.Begin(s.rec, "session.suggest").AttrInt("step", step)
 		if reqID != "" {
@@ -382,41 +341,58 @@ func (s *Session) Suggest(ctx context.Context, now time.Time, reqID string) (Sug
 		if sc, ok := trace.FromContext(ctx); ok {
 			sp.AttrContext(sc)
 		}
-		if s.healthLocked() == HealthDegraded && s.meta.BestAction != nil {
+		p := &pendingSuggest{step: step}
+		if s.meta.Health == HealthDegraded && s.step.BestAction != nil {
 			// Open breaker: re-serve the last known good configuration.
 			// The model is deliberately not consulted — a failing
 			// environment must not drag the policy around.
-			s.pending = &pendingSuggest{
-				step:     step,
-				action:   mat.CloneSlice(s.meta.BestAction),
-				state:    mat.CloneSlice(s.meta.State),
-				degraded: true,
-			}
+			p.action, p.degraded = mat.CloneSlice(s.step.BestAction), true
 			s.met.degradedSuggests.Inc()
-			s.meta.UpdatedAt = now
-			sp.AttrBool("degraded", true).End()
-			return s.suggestResponseLocked(), nil
+			sp.AttrBool("degraded", true)
+		} else {
+			start := time.Now()
+			p.action, p.optimized = s.step.Next()
+			s.met.suggestDur.ObserveSince(start)
+			st := s.tn.stats
+			if st.Tries > 1 {
+				s.met.twinqCandidates.Add(uint64(st.Tries - 1))
+			}
+			if st.Optimized {
+				s.met.twinqRejections.Inc()
+			}
+			sp.AttrInt("tries", st.Tries).AttrBool("optimized", st.Optimized).
+				AttrBool("probe", s.meta.Health == HealthHalfOpen)
 		}
-		start := time.Now()
-		action, st := s.tuner.SuggestWithStats(s.meta.State, s.meta.LastFailed)
-		s.met.suggestDur.ObserveSince(start)
-		if st.Tries > 1 {
-			s.met.twinqCandidates.Add(uint64(st.Tries - 1))
-		}
-		if st.Optimized {
-			s.met.twinqRejections.Inc()
-		}
-		s.pending = &pendingSuggest{
-			step:      step,
-			action:    mat.CloneSlice(action),
-			optimized: st.Optimized,
-			state:     mat.CloneSlice(s.meta.State),
-		}
+		sp.End()
+		s.pending = p
 		s.meta.UpdatedAt = now
-		sp.AttrInt("tries", st.Tries).AttrBool("optimized", st.Optimized).
-			AttrBool("probe", s.healthLocked() == HealthHalfOpen).End()
 	}
 	return s.suggestResponseLocked(), nil
+}
+
+// lockLive takes s.mu for a call on a live session, failing with the lock
+// released when ctx has ended or the session is closed or draining. ctx is
+// checked again under the lock: a request whose deadline died while queued
+// behind a slow holder must fail with its deadline error (504 at the HTTP
+// layer), not burn model work producing an answer nobody is waiting for.
+func (s *Session) lockLive(ctx context.Context, op string) error {
+	if err := ctx.Err(); err != nil {
+		return fmt.Errorf("session %s: %s abandoned: %w", s.meta.ID, op, err)
+	}
+	s.mu.Lock()
+	var err error
+	switch {
+	case ctx.Err() != nil:
+		err = fmt.Errorf("session %s: %s abandoned: %w", s.meta.ID, op, ctx.Err())
+	case s.closed:
+		err = fmt.Errorf("session %s: %w", s.meta.ID, ErrClosed)
+	case s.draining:
+		err = fmt.Errorf("session %s: %w", s.meta.ID, ErrDraining)
+	}
+	if err != nil {
+		s.mu.Unlock()
+	}
+	return err
 }
 
 func (s *Session) suggestResponseLocked() SuggestResponse {
@@ -445,22 +421,10 @@ func (s *Session) suggestResponseLocked() SuggestResponse {
 // early when the originating request is gone; reqID, when non-empty, tags
 // the recorded span (see Suggest).
 func (s *Session) Observe(ctx context.Context, req ObserveRequest, now time.Time, reqID string) (ObserveResponse, error) {
-	if err := ctx.Err(); err != nil {
-		return ObserveResponse{}, fmt.Errorf("session %s: observe abandoned: %w", s.meta.ID, err)
+	if err := s.lockLive(ctx, "observe"); err != nil {
+		return ObserveResponse{}, err
 	}
-	s.mu.Lock()
 	defer s.mu.Unlock()
-	// Same post-lock re-check as Suggest: an expired budget fails fast
-	// rather than training and checkpointing for an absent caller.
-	if err := ctx.Err(); err != nil {
-		return ObserveResponse{}, fmt.Errorf("session %s: observe abandoned: %w", s.meta.ID, err)
-	}
-	if s.closed {
-		return ObserveResponse{}, fmt.Errorf("session %s: %w", s.meta.ID, ErrClosed)
-	}
-	if s.draining {
-		return ObserveResponse{}, fmt.Errorf("session %s: %w", s.meta.ID, ErrDraining)
-	}
 	if s.pending == nil {
 		return ObserveResponse{}, fmt.Errorf("session %s has no pending suggestion: %w", s.meta.ID, ErrConflict)
 	}
@@ -477,7 +441,7 @@ func (s *Session) Observe(ctx context.Context, req ObserveRequest, now time.Time
 			s.meta.ID, len(req.State), s.env.StateDim(), ErrInvalid)
 	}
 
-	nextState := s.meta.State
+	nextState := s.step.State
 	if req.State != nil {
 		nextState = mat.CloneSlice(req.State)
 	}
@@ -493,106 +457,96 @@ func (s *Session) Observe(ctx context.Context, req ObserveRequest, now time.Time
 		sp.AttrContext(sc)
 	}
 
-	// Sanitize before anything downstream sees the measurement. JSON
-	// cannot carry NaN/Inf, but direct Go callers can; the outlier test is
-	// the HTTP-reachable half.
-	qerr := env.CheckFinite(env.Outcome{ExecTime: req.ExecTime, State: req.State})
-	if qerr == nil && !req.Failed && s.san != nil {
-		qerr = s.san.CheckTime(req.ExecTime)
-	}
-	failure := req.Failed || qerr != nil
-	healthBefore := s.healthLocked()
-	_, health := s.breakerObserve(failure, now)
-	// Learn only from clean measurements taken outside a degraded period;
-	// the half-open probe's outcome is learned from like any healthy one.
-	learn := qerr == nil && healthBefore != HealthDegraded
+	// The stepper sanitizes before anything downstream sees the
+	// measurement. JSON cannot carry NaN/Inf, but direct Go callers can;
+	// the outlier test is the HTTP-reachable half. Nothing measured in a
+	// degraded period is learned from; the half-open probe is.
+	s.tn.hold, s.tn.learned = s.meta.Health == HealthDegraded, nil
+	start := time.Now()
+	qerr, improved := s.step.Record(p.action, env.Outcome{ExecTime: req.ExecTime, Failed: req.Failed, State: nextState}, nil)
+	_, health := s.breakerObserve(s.step.LastFailed, now)
 
 	var reward float64
-	if qerr != nil {
+	switch tr := s.tn.learned; {
+	case qerr != nil:
 		s.meta.Quarantined++
 		s.met.quarantined.Inc()
 		sp.AttrBool("quarantined", true).Attr("quarantine_reason", qerr.Error())
-	} else if learn {
-		start := time.Now()
-		if s.spn != nil {
-			// Actor/learner mode: record the outcome (reward, replay append,
-			// trace) without inline fine-tuning; the gradient work happens in
-			// the spine's learner pool. The transition is flushed eagerly —
-			// sessions are low-rate actors, so the one-transition flush costs
-			// a single shard-lock acquisition and keeps the learner current.
-			reward = s.tuner.ObserveNoTrain(p.state, p.action, req.ExecTime, s.meta.PrevTime,
-				s.env.DefaultTime(), nextState, false)
+	case tr != nil:
+		reward = tr.Reward
+		if s.actor != nil {
+			// Actor/learner mode: the tuner recorded the transition without
+			// fine-tuning; the gradient work happens in the spine's learner
+			// pool. The transition is flushed eagerly — sessions are
+			// low-rate actors, so the one-transition flush costs a single
+			// shard-lock acquisition and keeps the learner current.
 			esp := trace.Begin(s.rec, "spine.enqueue").AttrInt("step", p.step)
 			if scOK {
 				esp.AttrContext(sc)
 			}
-			s.actor.Enqueue(rl.Transition{
-				State:     p.state,
-				Action:    p.action,
-				Reward:    reward,
-				NextState: nextState,
-			})
+			s.actor.Enqueue(*tr)
 			s.actor.Flush()
 			esp.End()
-		} else {
-			reward = s.tuner.Observe(p.state, p.action, req.ExecTime, s.meta.PrevTime,
-				s.env.DefaultTime(), nextState, false)
 		}
 		s.met.observeDur.ObserveSince(start)
-		if s.spn != nil {
-			// Adoption runs before the manager's write-through checkpoint, so
-			// the persisted snapshot always carries the adopted weights
-			// together with their version.
-			s.maybeAdoptLocked(p.step)
-		}
+		// Adoption runs before the manager's write-through checkpoint, so
+		// the persisted snapshot always carries the adopted weights
+		// together with their version.
+		s.maybeAdoptLocked(p.step)
 		if s.wh != nil {
 			// Stream the observed experience into the fleet warehouse. The
 			// warehouse is advisory — a full disk there must not fail the
 			// observation the tuner already learned from.
 			wsp := trace.Begin(s.rec, "warehouse_ingest").AttrInt("records", 1)
-			_ = s.wh.Append(warehouse.Record{
-				Signature: s.sig,
-				Session:   s.meta.ID,
-				Transition: rl.Transition{
-					State:     p.state,
-					Action:    p.action,
-					Reward:    reward,
-					NextState: nextState,
-					Done:      false,
-				},
-			})
+			_ = s.wh.Append(warehouse.Record{Signature: s.sig, Session: s.meta.ID, Transition: *tr})
 			wsp.End()
 		}
-	} else {
+	default:
 		sp.AttrBool("degraded_skip", true)
 	}
 	sp.AttrFloat("reward", reward).Attr("health", health).End()
-
-	improved := qerr == nil && !req.Failed && (s.meta.BestTime == 0 || req.ExecTime < s.meta.BestTime)
-	if improved {
-		s.meta.BestTime = req.ExecTime
-		s.meta.BestAction = mat.CloneSlice(p.action)
-	}
-	s.meta.Step = p.step
-	s.meta.LastFailed = failure
 	s.meta.UpdatedAt = now
-	if qerr == nil {
-		s.meta.PrevTime = req.ExecTime
-		s.meta.State = nextState
-		if !req.Failed && s.san != nil {
-			s.san.Admit(req.ExecTime)
-		}
-	}
 	s.pending = nil
 
 	return ObserveResponse{
-		Step:        s.meta.Step,
+		Step:        s.step.Step,
 		Reward:      reward,
-		BestTime:    s.meta.BestTime,
+		BestTime:    s.step.BestTime,
 		Improved:    improved,
 		Quarantined: qerr != nil,
 		Health:      health,
 	}, nil
+}
+
+// sessionTuner is the session's env.Tuner: DeepCAT plus what the service
+// needs from each decision. Suggest keeps the Twin-Q statistics for the
+// metrics. Learn fine-tunes inline (in spine mode, noTrain, it only
+// records: the spine's learner pool trains) and keeps the transition with
+// its reward for the spine, the warehouse and the response; while hold is
+// set (the breaker is open) it learns nothing.
+type sessionTuner struct {
+	d             *core.DeepCAT
+	noTrain, hold bool
+	stats         core.SuggestStats
+	learned       *rl.Transition
+}
+
+func (t *sessionTuner) Suggest(state []float64, lastFailed bool) ([]float64, bool) {
+	action, st := t.d.SuggestWithStats(state, lastFailed)
+	t.stats = st
+	return action, st.Optimized
+}
+
+func (t *sessionTuner) Learn(o env.Observation) {
+	if t.hold {
+		return
+	}
+	observe := t.d.Observe
+	if t.noTrain {
+		observe = t.d.ObserveNoTrain
+	}
+	r := observe(o.State, o.Action, o.Outcome.ExecTime, o.PrevTime, o.DefTime, o.Outcome.State, o.Done)
+	t.learned = &rl.Transition{State: o.State, Action: o.Action, Reward: r, NextState: o.Outcome.State, Done: o.Done}
 }
 
 // maybeAdoptLocked adopts the spine learner's latest published weights when
@@ -628,7 +582,7 @@ func (s *Session) maybeAdoptLocked(step int) {
 func (s *Session) Health() string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.healthLocked()
+	return s.meta.Health
 }
 
 // beginDrain freezes the session for checkpoint handoff, reporting false
@@ -690,8 +644,11 @@ func (s *Session) Checkpoint() ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	if s.san != nil {
-		s.meta.SanRecent = mat.CloneSlice(s.san.Recent)
+	m, st := &s.meta, s.step
+	m.Step, m.PrevTime, m.LastFailed, m.BestTime, m.BestAction, m.State =
+		st.Step, st.PrevTime, st.LastFailed, st.BestTime, st.BestAction, st.State
+	if st.San != nil {
+		m.SanRecent = mat.CloneSlice(st.San.Recent)
 	}
 	ck := sessionCheckpoint{Meta: s.meta, Snap: snap}
 	var buf bytes.Buffer
@@ -725,31 +682,43 @@ func resumeSession(data []byte, wh *warehouse.Warehouse, met *metrics, tc *Trace
 	if err != nil {
 		return nil, err
 	}
-	s := &Session{
-		meta:  ck.Meta,
-		tuner: tuner,
-		env:   e,
-		wh:    wh,
-		sig:   warehouse.Signature(ck.Meta.Cluster, ck.Meta.Workload, ck.Meta.Input),
-		met:   met,
-		rec:   newRecorder(tc, ck.Meta.ID),
-		res:   res.normalize(),
-		spn:   spn,
+	if ck.Meta.Health == "" {
+		ck.Meta.Health = HealthHealthy // pre-breaker checkpoint
 	}
-	if spn != nil {
-		s.actor = spn.sp.Actor(s.sig)
-	}
-	if s.meta.Health == "" {
-		s.meta.Health = HealthHealthy // pre-breaker checkpoint
-	}
-	if s.res.SanitizeWindow > 0 {
-		s.san = env.NewSanitizer(s.res.SanitizeWindow, s.res.SanitizeMADK)
-		s.san.Recent = ck.Meta.SanRecent
+	s := bindSession(ck.Meta, tuner, e, wh, met, tc, res, spn)
+	m, st := &s.meta, s.step
+	st.Step, st.PrevTime, st.LastFailed, st.BestTime, st.BestAction, st.State =
+		m.Step, m.PrevTime, m.LastFailed, m.BestTime, m.BestAction, m.State
+	if st.San != nil {
+		st.San.Recent = m.SanRecent
 	}
 	// The recorder is deliberately not part of the checkpoint: a resumed
 	// session reopens its spool (recovering any torn tail) and continues
 	// the event stream with a fresh ring.
-	s.rec.SetStep(ck.Meta.Step)
-	tuner.SetRecorder(s.rec)
+	s.rec.SetStep(m.Step)
 	return s, nil
+}
+
+// bindSession wires a session around its tuner: the environment binding,
+// the stepper at the environment's idle state, the daemon's warehouse,
+// metrics, recorder, resilience policy and spine.
+func bindSession(meta sessionMeta, tuner *core.DeepCAT, e *env.SparkEnv, wh *warehouse.Warehouse, met *metrics, tc *TraceConfig, res Resilience, spn *spineBinding) *Session {
+	s := &Session{
+		meta:  meta,
+		tuner: tuner,
+		tn:    &sessionTuner{d: tuner, noTrain: spn != nil},
+		env:   e,
+		wh:    wh,
+		sig:   warehouse.Signature(meta.Cluster, meta.Workload, meta.Input),
+		met:   met,
+		rec:   newRecorder(tc, meta.ID),
+		res:   res.normalize(),
+		spn:   spn,
+	}
+	s.step = env.NewStepper(s.tn, e, s.res.SanitizeWindow, s.res.SanitizeMADK)
+	if spn != nil {
+		s.actor = spn.sp.Actor(s.sig)
+	}
+	tuner.SetRecorder(s.rec)
+	return s
 }
