@@ -296,18 +296,25 @@ func (p *Proxy) forwardChunk(dst, src net.Conn, chunk []byte, rng *rand.Rand, to
 		p.delayed.Add(1)
 		for i := range chunk {
 			time.Sleep(trickle)
-			if _, err := dst.Write(chunk[i : i+1]); err != nil {
+			if !p.write(dst, chunk[i:i+1], toUpstream) {
 				return false
 			}
-			p.countBytes(1, toUpstream)
 		}
 		return true
 	}
-	if _, err := dst.Write(chunk); err != nil {
-		return false
+	return p.write(dst, chunk, toUpstream)
+}
+
+// write forwards b to dst. The bytes are counted before the write, so a
+// peer that has seen them and answered never finds them missing from
+// Stats; a failed write takes back what it did not deliver.
+func (p *Proxy) write(dst net.Conn, b []byte, toUpstream bool) bool {
+	p.countBytes(len(b), toUpstream)
+	n, err := dst.Write(b)
+	if err != nil {
+		p.countBytes(n-len(b), toUpstream)
 	}
-	p.countBytes(len(chunk), toUpstream)
-	return true
+	return err == nil
 }
 
 func (p *Proxy) countBytes(n int, toUpstream bool) {
