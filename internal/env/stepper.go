@@ -18,17 +18,17 @@ type Stepper struct {
 	tuner Tuner
 	// San is the outlier test; nil leaves only the non-finite check.
 	San *Sanitizer
-	// DefTime is the default configuration's execution time, the
+	// defTime is the default configuration's execution time, the
 	// reward's baseline.
-	DefTime float64
+	defTime float64
 	// Horizon is the session length: the transition recorded at step
 	// Horizon is marked Done. 0 means open-ended.
 	Horizon int
 
 	// The progress, exported so a caller can persist and restore it: the
 	// steps recorded (faulted and rejected ones included), the state the
-	// next suggestion is for, the last learned execution time (DefTime
-	// before the first), whether the last step gave no successful run, and
+	// next suggestion is for, the last learned execution time (the default
+	// configuration's before the first), whether the last step gave no successful run, and
 	// the best successful configuration (nil, with BestTime 0, until one).
 	Step       int
 	State      []float64
@@ -42,7 +42,7 @@ type Stepper struct {
 // window enables the outlier test over that many recent execution times,
 // with threshold madK (see NewSanitizer).
 func NewStepper(t Tuner, e Environment, window int, madK float64) *Stepper {
-	s := &Stepper{tuner: t, DefTime: e.DefaultTime(), State: e.IdleState(), PrevTime: e.DefaultTime()}
+	s := &Stepper{tuner: t, defTime: e.DefaultTime(), State: e.IdleState(), PrevTime: e.DefaultTime()}
 	if window > 0 {
 		s.San = NewSanitizer(window, madK)
 	}
@@ -75,7 +75,7 @@ func (s *Stepper) Record(action []float64, o Outcome, fault error) (rejected err
 		Action:   action,
 		Outcome:  o,
 		PrevTime: s.PrevTime,
-		DefTime:  s.DefTime,
+		DefTime:  s.defTime,
 		Done:     s.Step == s.Horizon,
 	})
 	if !o.Failed {

@@ -644,13 +644,15 @@ func (s *Session) Checkpoint() ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	m, st := &s.meta, s.step
+	// The stepper is the live copy of the tuning progress; only the
+	// encoded copy of the metadata carries it.
+	m, st := s.meta, s.step
 	m.Step, m.PrevTime, m.LastFailed, m.BestTime, m.BestAction, m.State =
 		st.Step, st.PrevTime, st.LastFailed, st.BestTime, st.BestAction, st.State
 	if st.San != nil {
-		m.SanRecent = mat.CloneSlice(st.San.Recent)
+		m.SanRecent = st.San.Recent
 	}
-	ck := sessionCheckpoint{Meta: s.meta, Snap: snap}
+	ck := sessionCheckpoint{Meta: m, Snap: snap}
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(ck); err != nil {
 		return nil, fmt.Errorf("service: encode checkpoint: %w", err)
@@ -685,17 +687,22 @@ func resumeSession(data []byte, wh *warehouse.Warehouse, met *metrics, tc *Trace
 	if ck.Meta.Health == "" {
 		ck.Meta.Health = HealthHealthy // pre-breaker checkpoint
 	}
+	// The progress moves into the stepper, which Checkpoint copies back
+	// from; s.meta keeps none of it, so no stale copy outlives a step.
+	p, m := ck.Meta, &ck.Meta
+	m.Step, m.PrevTime, m.LastFailed, m.BestTime, m.BestAction, m.State, m.SanRecent =
+		0, 0, false, 0, nil, nil, nil
 	s := bindSession(ck.Meta, tuner, e, wh, met, tc, res, spn)
-	m, st := &s.meta, s.step
+	st := s.step
 	st.Step, st.PrevTime, st.LastFailed, st.BestTime, st.BestAction, st.State =
-		m.Step, m.PrevTime, m.LastFailed, m.BestTime, m.BestAction, m.State
+		p.Step, p.PrevTime, p.LastFailed, p.BestTime, p.BestAction, p.State
 	if st.San != nil {
-		st.San.Recent = m.SanRecent
+		st.San.Recent = p.SanRecent
 	}
 	// The recorder is deliberately not part of the checkpoint: a resumed
 	// session reopens its spool (recovering any torn tail) and continues
 	// the event stream with a fresh ring.
-	s.rec.SetStep(m.Step)
+	s.rec.SetStep(st.Step)
 	return s, nil
 }
 
