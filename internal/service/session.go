@@ -644,8 +644,7 @@ func (s *Session) Checkpoint() ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The stepper is the live copy of the tuning progress; only the
-	// encoded copy of the metadata carries it.
+	// Only the encoded metadata carries the stepper's progress.
 	m, st := s.meta, s.step
 	m.Step, m.PrevTime, m.LastFailed, m.BestTime, m.BestAction, m.State =
 		st.Step, st.PrevTime, st.LastFailed, st.BestTime, st.BestAction, st.State
@@ -687,8 +686,7 @@ func resumeSession(data []byte, wh *warehouse.Warehouse, met *metrics, tc *Trace
 	if ck.Meta.Health == "" {
 		ck.Meta.Health = HealthHealthy // pre-breaker checkpoint
 	}
-	// The progress moves into the stepper, which Checkpoint copies back
-	// from; s.meta keeps none of it, so no stale copy outlives a step.
+	// The stepper becomes the only live copy of the progress.
 	p, m := ck.Meta, &ck.Meta
 	m.Step, m.PrevTime, m.LastFailed, m.BestTime, m.BestAction, m.State, m.SanRecent =
 		0, 0, false, 0, nil, nil, nil
