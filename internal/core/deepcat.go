@@ -65,14 +65,21 @@ type Config struct {
 	TD3 rl.TD3Config
 }
 
+// RDPER's R_th and high-reward batch ratio in DefaultConfig; the spine and
+// the warehouse split experience with the same values.
+const (
+	DefaultRewardThreshold float64 = 0
+	DefaultBeta            float64 = 0.6
+)
+
 // DefaultConfig returns the configuration used in the experiments.
 func DefaultConfig(stateDim, actionDim int) Config {
 	td3 := rl.DefaultTD3Config(stateDim, actionDim)
 	td3.Hidden = []int{64, 64}
 	return Config{
 		SpeedupTarget:   3,
-		RewardThreshold: 0,
-		Beta:            0.6,
+		RewardThreshold: DefaultRewardThreshold,
+		Beta:            DefaultBeta,
 		ReplayCapacity:  100000,
 		BatchSize:       32,
 		WarmupSteps:     64,

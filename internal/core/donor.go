@@ -32,26 +32,13 @@ func (d *DeepCAT) TrainFromReplay(iters int) int {
 	return done
 }
 
-// AdoptAgent copies the agent state of a donor snapshot into d, leaving d's
-// configuration, replay buffer and random stream untouched: the donor's
-// learned networks with the recipient's own experience. The snapshot's
-// architecture must match d's (equal state and action dimensions).
-func (d *DeepCAT) AdoptAgent(snap *Snapshot) error {
-	if snap == nil {
-		return fmt.Errorf("core: adopt nil snapshot")
-	}
-	if err := d.Agent.RestoreState(snap.Agent); err != nil {
-		return fmt.Errorf("core: adopt donor agent: %w", err)
-	}
-	return nil
-}
-
-// AdoptWeights copies a bare agent state into d — the spine's versioned
-// policy snapshots arrive this way, without the Snapshot envelope. Like
-// AdoptAgent it leaves the configuration, replay buffer and random stream
-// untouched, so adoption composes with deterministic checkpoint resume: a
-// restored session that re-adopts the same published version reproduces the
-// same tuner bit for bit.
+// AdoptWeights copies an agent state into d: a warehouse donor's networks
+// at warm-start, or a spine learner's published policy. It leaves d's
+// configuration, replay buffer and random stream untouched, so adoption
+// composes with deterministic checkpoint resume: a restored session that
+// re-adopts the same published version reproduces the same tuner bit for
+// bit. A state that fails rl's checks is refused and d keeps its own
+// weights.
 func (d *DeepCAT) AdoptWeights(st rl.TD3State) error {
 	if err := d.Agent.RestoreState(st); err != nil {
 		return fmt.Errorf("core: adopt weights: %w", err)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"encoding/gob"
 	"fmt"
 	"io"
@@ -66,26 +67,12 @@ func Load(r io.Reader, seed int64) (*DeepCAT, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: load model: %w", err)
 	}
-	if m.Actor == nil || m.Critic1 == nil || m.Critic2 == nil {
-		return nil, fmt.Errorf("core: load model: missing networks")
-	}
-	d.Agent.Actor.CopyFrom(m.Actor)
-	d.Agent.Critic1.CopyFrom(m.Critic1)
-	d.Agent.Critic2.CopyFrom(m.Critic2)
-	if m.ActorT != nil {
-		d.Agent.ActorTarget.CopyFrom(m.ActorT)
-	} else {
-		d.Agent.ActorTarget.CopyFrom(m.Actor)
-	}
-	if m.Critic1T != nil {
-		d.Agent.Critic1T.CopyFrom(m.Critic1T)
-	} else {
-		d.Agent.Critic1T.CopyFrom(m.Critic1)
-	}
-	if m.Critic2T != nil {
-		d.Agent.Critic2T.CopyFrom(m.Critic2T)
-	} else {
-		d.Agent.Critic2T.CopyFrom(m.Critic2)
+	// A model saved without targets gets them from the online networks.
+	st := d.Agent.CaptureState()
+	st.Actor, st.Critic1, st.Critic2 = m.Actor, m.Critic1, m.Critic2
+	st.ActorTarget, st.Critic1T, st.Critic2T = cmp.Or(m.ActorT, m.Actor), cmp.Or(m.Critic1T, m.Critic1), cmp.Or(m.Critic2T, m.Critic2)
+	if err := d.Agent.RestoreState(st); err != nil {
+		return nil, fmt.Errorf("core: load model: %w", err)
 	}
 	return d, nil
 }

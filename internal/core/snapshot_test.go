@@ -2,6 +2,8 @@ package core
 
 import (
 	"bytes"
+	"encoding/gob"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -133,5 +135,64 @@ func TestRestoreRejectsMismatchedState(t *testing.T) {
 	snap.Cfg.ReplayMode = "uniform" // buffer rebuilt as uniform; state is rdper
 	if _, err := Restore(snap); err == nil {
 		t.Fatal("Restore accepted a replay-state/mode mismatch")
+	}
+}
+
+// TestFailedAdoptWeightsKeepsTuner hands AdoptWeights a state whose actor
+// optimizer has taken 7 steps but whose second critic optimizer is one
+// layer short. The state must be refused before anything is copied: the
+// warm-start and spine adoption paths assume a refused tuner kept its own
+// weights and moments.
+func TestFailedAdoptWeightsKeepsTuner(t *testing.T) {
+	cfg := snapConfig(snapEnv(t, 13))
+	d, err := New(rand.New(rand.NewSource(5)), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	donor, err := New(rand.New(rand.NewSource(6)), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := donor.Agent.CaptureState()
+	st.ActorOpt.T = 7
+	o := &st.Critic2Opt
+	o.MW, o.VW, o.MB, o.VB = o.MW[1:], o.VW[1:], o.MB[1:], o.VB[1:]
+
+	encode := func() []byte {
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(d.Agent.CaptureState()); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	before := encode()
+	if err := d.AdoptWeights(st); err == nil {
+		t.Fatal("state with a short optimizer adopted")
+	}
+	if !bytes.Equal(encode(), before) {
+		t.Fatal("refused adoption changed the tuner's agent state")
+	}
+}
+
+// TestLoadRefusesNonFiniteModel checks that a saved model carrying a NaN
+// weight is refused at Load instead of being copied into a tuner.
+func TestLoadRefusesNonFiniteModel(t *testing.T) {
+	d, err := New(rand.New(rand.NewSource(5)), snapConfig(snapEnv(t, 13)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var good, bad bytes.Buffer
+	if err := d.Save(&good); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Load(&good, 1); err != nil {
+		t.Fatalf("clean model refused: %v", err)
+	}
+	d.Agent.Critic1.Layers[0].W.Data[0] = math.NaN()
+	if err := d.Save(&bad); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Load(&bad, 1); err == nil {
+		t.Fatal("model with a NaN critic weight loaded")
 	}
 }

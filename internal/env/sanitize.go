@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math"
 	"sort"
+
+	"deepcat/internal/mat"
 )
 
 // Sanitizer rejection sentinels; callers branch with errors.Is.
@@ -24,18 +26,13 @@ var (
 // first gate every measured outcome passes before reaching the reward,
 // the replay buffer, the flight recorder or the warehouse.
 func CheckFinite(o Outcome) error {
-	if !(o.ExecTime > 0) || math.IsInf(o.ExecTime, 0) {
+	switch {
+	case !(o.ExecTime > 0) || !mat.Finite(o.ExecTime):
 		return fmt.Errorf("exec time %g: %w", o.ExecTime, ErrNonFinite)
-	}
-	for i, v := range o.State {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return fmt.Errorf("state[%d] = %g: %w", i, v, ErrNonFinite)
-		}
-	}
-	for i, v := range o.Metrics {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return fmt.Errorf("metrics[%d] = %g: %w", i, v, ErrNonFinite)
-		}
+	case !mat.AllFinite(o.State):
+		return fmt.Errorf("state: %w", ErrNonFinite)
+	case !mat.AllFinite(o.Metrics):
+		return fmt.Errorf("metrics: %w", ErrNonFinite)
 	}
 	return nil
 }

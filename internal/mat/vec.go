@@ -201,10 +201,13 @@ func RandNormalVec(rng *rand.Rand, n int, mean, sigma float64) []float64 {
 	return v
 }
 
+// Finite reports whether x is a finite number: neither NaN nor ±Inf.
+func Finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
+
 // AllFinite reports whether every entry of v is a finite number.
 func AllFinite(v []float64) bool {
 	for _, x := range v {
-		if math.IsNaN(x) || math.IsInf(x, 0) {
+		if !Finite(x) {
 			return false
 		}
 	}

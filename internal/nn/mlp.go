@@ -226,14 +226,42 @@ func (m *MLP) SoftUpdate(src *MLP, tau float64) {
 	}
 }
 
-func (m *MLP) mustMatch(src *MLP) {
+// Validate reports whether m is well formed: at least one layer, every
+// weight matrix and bias sized consistently, and each layer's input the
+// previous layer's output. A decoded network must pass it before use.
+func (m *MLP) Validate() error {
+	if m == nil || len(m.Layers) == 0 {
+		return fmt.Errorf("nn: empty network")
+	}
+	for i, l := range m.Layers {
+		if l == nil || l.W == nil || l.W.Rows <= 0 || l.W.Cols <= 0 ||
+			len(l.W.Data) != l.W.Rows*l.W.Cols || len(l.B) != l.W.Rows {
+			return fmt.Errorf("nn: malformed layer %d", i)
+		}
+		if i > 0 && l.W.Cols != m.Layers[i-1].W.Rows {
+			return fmt.Errorf("nn: layer %d takes %d inputs, layer %d gives %d", i, l.W.Cols, i-1, m.Layers[i-1].W.Rows)
+		}
+	}
+	return nil
+}
+
+// Match reports whether src has m's architecture: as many layers, each of
+// the same shape. CopyFrom and SoftUpdate require it.
+func (m *MLP) Match(src *MLP) error {
 	if len(m.Layers) != len(src.Layers) {
-		panic(fmt.Sprintf("nn: architecture mismatch: %d vs %d layers", len(m.Layers), len(src.Layers)))
+		return fmt.Errorf("nn: architecture mismatch: %d vs %d layers", len(m.Layers), len(src.Layers))
 	}
 	for i, l := range m.Layers {
 		s := src.Layers[i]
 		if l.W.Rows != s.W.Rows || l.W.Cols != s.W.Cols {
-			panic(fmt.Sprintf("nn: layer %d shape mismatch %dx%d vs %dx%d", i, l.W.Rows, l.W.Cols, s.W.Rows, s.W.Cols))
+			return fmt.Errorf("nn: layer %d shape mismatch %dx%d vs %dx%d", i, l.W.Rows, l.W.Cols, s.W.Rows, s.W.Cols)
 		}
+	}
+	return nil
+}
+
+func (m *MLP) mustMatch(src *MLP) {
+	if err := m.Match(src); err != nil {
+		panic(err.Error())
 	}
 }

@@ -28,13 +28,8 @@ func Load(r io.Reader) (*MLP, error) {
 	if err := dec.Decode(&m); err != nil {
 		return nil, fmt.Errorf("nn: load: %w", err)
 	}
-	if len(m.Layers) == 0 {
-		return nil, fmt.Errorf("nn: load: empty network")
-	}
-	for i, l := range m.Layers {
-		if l == nil || l.W == nil || l.W.Rows*l.W.Cols != len(l.W.Data) || len(l.B) != l.W.Rows {
-			return nil, fmt.Errorf("nn: load: malformed layer %d", i)
-		}
+	if err := m.Validate(); err != nil {
+		return nil, fmt.Errorf("nn: load: %w", err)
 	}
 	return &m, nil
 }
@@ -69,21 +64,10 @@ func (a *Adam) State() AdamState {
 	return s
 }
 
-// SetState restores state captured by State into a, which must have been
-// created for a network of the same architecture.
-func (a *Adam) SetState(s AdamState) error {
-	if len(s.MW) != len(a.mW) || len(s.VW) != len(a.vW) ||
-		len(s.MB) != len(a.mB) || len(s.VB) != len(a.vB) {
-		return fmt.Errorf("nn: adam state has %d layers, want %d", len(s.MW), len(a.mW))
-	}
-	for i := range a.mW {
-		if s.MW[i] == nil || s.VW[i] == nil ||
-			s.MW[i].Rows != a.mW[i].Rows || s.MW[i].Cols != a.mW[i].Cols ||
-			s.VW[i].Rows != a.vW[i].Rows || s.VW[i].Cols != a.vW[i].Cols ||
-			len(s.MB[i]) != len(a.mB[i]) || len(s.VB[i]) != len(a.vB[i]) {
-			return fmt.Errorf("nn: adam state layer %d shape mismatch", i)
-		}
-	}
+// SetState restores state captured by State into a. The state must be
+// shaped like a's network, one moment pair per layer; rl.TD3State.Check is
+// how a decoded state is checked before it gets here.
+func (a *Adam) SetState(s AdamState) {
 	a.t = s.T
 	for i := range a.mW {
 		a.mW[i].CopyFrom(s.MW[i])
@@ -91,7 +75,6 @@ func (a *Adam) SetState(s AdamState) error {
 		copy(a.mB[i], s.MB[i])
 		copy(a.vB[i], s.VB[i])
 	}
-	return nil
 }
 
 // SaveFile saves the network to the named file, creating or truncating it.

@@ -3,6 +3,7 @@ package rl
 import (
 	"fmt"
 
+	"deepcat/internal/mat"
 	"deepcat/internal/nn"
 )
 
@@ -67,6 +68,25 @@ type ReplayState struct {
 	RewardThreshold, Beta float64
 }
 
+// Check reports whether every transition in every pool of s passes
+// Transition.Check.
+func (s ReplayState) Check() error {
+	for _, p := range []struct {
+		name string
+		pool *PoolState
+	}{{"uniform", s.Uniform}, {"high", s.High}, {"low", s.Low}} {
+		if p.pool == nil {
+			continue
+		}
+		for i, tr := range p.pool.Transitions {
+			if err := tr.Check(); err != nil {
+				return fmt.Errorf("rl: replay %s[%d]: %w", p.name, i, err)
+			}
+		}
+	}
+	return nil
+}
+
 // CaptureReplay snapshots any of the package's samplers.
 func CaptureReplay(s Sampler) (ReplayState, error) {
 	switch b := s.(type) {
@@ -91,8 +111,12 @@ func CaptureReplay(s Sampler) (ReplayState, error) {
 }
 
 // RestoreReplay loads a captured state into dst, which must be the same
-// sampler type the state was captured from.
+// sampler type the state was captured from. A state that fails Check is
+// refused before anything is loaded.
 func RestoreReplay(dst Sampler, st ReplayState) error {
+	if err := st.Check(); err != nil {
+		return err
+	}
 	switch b := dst.(type) {
 	case *UniformReplay:
 		if st.Mode != "uniform" || st.Uniform == nil {
@@ -181,27 +205,96 @@ func (t *TD3) CaptureState() TD3State {
 	}
 }
 
-// RestoreState loads a captured state into t, which must have been built
-// from the same configuration (architectures must match).
-func (t *TD3) RestoreState(s TD3State) error {
-	for _, m := range []*nn.MLP{s.Actor, s.ActorTarget, s.Critic1, s.Critic2, s.Critic1T, s.Critic2T} {
-		if m == nil || len(m.Layers) == 0 {
-			return fmt.Errorf("rl: TD3 state with missing network")
+// Check reports whether s is a usable agent state: all six networks well
+// formed, each target shaped like its online network, each optimizer's
+// moments shaped like the network it steps, and every weight and moment
+// finite. A NaN admitted into a gradient update spreads through every
+// weight it touches, so a state that fails here must not be restored,
+// published or persisted.
+func (s TD3State) Check() error {
+	for _, p := range [3]struct {
+		name        string
+		net, target *nn.MLP
+		opt         nn.AdamState
+	}{
+		{"actor", s.Actor, s.ActorTarget, s.ActorOpt},
+		{"critic1", s.Critic1, s.Critic1T, s.Critic1Opt},
+		{"critic2", s.Critic2, s.Critic2T, s.Critic2Opt},
+	} {
+		if err := checkNet(p.net, nil); err != nil {
+			return fmt.Errorf("rl: TD3 state %s: %w", p.name, err)
+		}
+		if err := checkNet(p.target, p.net); err != nil {
+			return fmt.Errorf("rl: TD3 state %s_target: %w", p.name, err)
+		}
+		if err := checkOpt(p.opt, p.net); err != nil {
+			return fmt.Errorf("rl: TD3 state %s_opt: %w", p.name, err)
 		}
 	}
-	if s.Actor.InSize() != t.Cfg.StateDim || s.Actor.OutSize() != t.Cfg.ActionDim {
-		return fmt.Errorf("rl: TD3 state actor is %d->%d, want %d->%d",
-			s.Actor.InSize(), s.Actor.OutSize(), t.Cfg.StateDim, t.Cfg.ActionDim)
+	if s.Updates < 0 {
+		return fmt.Errorf("rl: TD3 state with negative update count %d", s.Updates)
 	}
-	if err := t.actorOpt.SetState(s.ActorOpt); err != nil {
+	return nil
+}
+
+// checkNet checks that m is well formed, shaped like like (when non-nil)
+// and finite.
+func checkNet(m, like *nn.MLP) error {
+	if err := m.Validate(); err != nil {
 		return err
 	}
-	if err := t.c1Opt.SetState(s.Critic1Opt); err != nil {
+	if like != nil {
+		if err := like.Match(m); err != nil {
+			return err
+		}
+	}
+	for i, l := range m.Layers {
+		if !mat.AllFinite(l.W.Data) || !mat.AllFinite(l.B) {
+			return fmt.Errorf("layer %d carries a non-finite value", i)
+		}
+	}
+	return nil
+}
+
+// checkOpt checks that o holds one finite moment pair per layer of m, each
+// shaped like that layer.
+func checkOpt(o nn.AdamState, m *nn.MLP) error {
+	n := len(m.Layers)
+	if o.T < 0 || len(o.MW) != n || len(o.VW) != n || len(o.MB) != n || len(o.VB) != n {
+		return fmt.Errorf("step %d with %d layers of moments, want %d", o.T, len(o.MW), n)
+	}
+	for i, l := range m.Layers {
+		for _, w := range [2]*mat.Matrix{o.MW[i], o.VW[i]} {
+			if w == nil || w.Rows != l.W.Rows || w.Cols != l.W.Cols || len(w.Data) != len(l.W.Data) || !mat.AllFinite(w.Data) {
+				return fmt.Errorf("layer %d weight moments malformed or non-finite", i)
+			}
+		}
+		for _, b := range [2][]float64{o.MB[i], o.VB[i]} {
+			if len(b) != len(l.B) || !mat.AllFinite(b) {
+				return fmt.Errorf("layer %d bias moments malformed or non-finite", i)
+			}
+		}
+	}
+	return nil
+}
+
+// RestoreState loads a captured state into t, which must have been built
+// from the same configuration. The state is checked in full before
+// anything is copied (Check, plus every network shaped like t's own), so a
+// state that is refused leaves t exactly as it was. Every weight hand-off
+// goes through here: resume, fleet adopt, donor warm-start, spine adoption.
+func (t *TD3) RestoreState(s TD3State) error {
+	if err := s.Check(); err != nil {
 		return err
 	}
-	if err := t.c2Opt.SetState(s.Critic2Opt); err != nil {
-		return err
+	for _, p := range [3][2]*nn.MLP{{t.Actor, s.Actor}, {t.Critic1, s.Critic1}, {t.Critic2, s.Critic2}} {
+		if err := p[0].Match(p[1]); err != nil {
+			return fmt.Errorf("rl: TD3 state does not fit this agent: %w", err)
+		}
 	}
+	t.actorOpt.SetState(s.ActorOpt)
+	t.c1Opt.SetState(s.Critic1Opt)
+	t.c2Opt.SetState(s.Critic2Opt)
 	t.Actor.CopyFrom(s.Actor)
 	t.ActorTarget.CopyFrom(s.ActorTarget)
 	t.Critic1.CopyFrom(s.Critic1)

@@ -9,7 +9,11 @@
 // abstract state/action vectors so they can be reused for any environment.
 package rl
 
-import "deepcat/internal/mat"
+import (
+	"errors"
+
+	"deepcat/internal/mat"
+)
 
 // Transition is one (s, a, r, s', done) experience tuple. Action dimensions
 // are normalized to [0,1] by callers, matching the paper's action encoding
@@ -32,6 +36,20 @@ func (tr Transition) Clone() Transition {
 		NextState: mat.CloneSlice(tr.NextState),
 		Done:      tr.Done,
 	}
+}
+
+// errNonFinite is what Check returns for a transition carrying NaN or ±Inf.
+var errNonFinite = errors.New("rl: transition carries a non-finite value")
+
+// Check reports whether tr is usable experience: every number in it is
+// finite. It is the rule for what may enter a replay buffer, the warehouse
+// or a donor's training set.
+func (tr Transition) Check() error {
+	if !mat.Finite(tr.Reward) || !mat.AllFinite(tr.State) ||
+		!mat.AllFinite(tr.Action) || !mat.AllFinite(tr.NextState) {
+		return errNonFinite
+	}
+	return nil
 }
 
 // Batch is a sampled mini-batch. Indices and Weights are only meaningful for

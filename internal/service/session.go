@@ -232,7 +232,7 @@ func newSession(id string, req CreateSessionRequest, now time.Time, wh *warehous
 	if wh != nil && !req.NoWarmStart {
 		if ws, ok := wh.WarmStart(s.sig, cfg.RewardThreshold, warmSeedMax); ok {
 			sp := trace.Begin(s.rec, "donor_adopt")
-			if err := tuner.AdoptAgent(ws.Snap); err == nil {
+			if err := tuner.AdoptWeights(ws.Snap.Agent); err == nil {
 				tuner.SeedReplay(ws.Seeds)
 				s.meta.WarmStarted = true
 				s.meta.Donor = fmt.Sprintf("%s-g%d", ws.Donor.Signature, ws.Donor.Generation)

@@ -4,117 +4,36 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
-	"math"
 
 	"deepcat/internal/mat"
-	"deepcat/internal/nn"
-	"deepcat/internal/rl"
 )
 
 // VerifyCheckpoint decodes a session checkpoint and fails on the first
 // non-finite value anywhere in it: the session metadata (times, states,
 // sanitizer history), every replay transition, and every network weight and
-// optimizer moment of the embedded agent snapshot. Chaos harnesses run it
-// over the checkpoint store after a fault-injected session to prove that
-// corrupted measurements never reached disk.
+// optimizer moment of the embedded agent snapshot, which must also be
+// shaped consistently (rl.ReplayState.Check, rl.TD3State.Check). Fleet
+// adopt runs it before registering a handed-off session; chaos harnesses
+// run it over the checkpoint store to prove that corrupted measurements
+// never reached disk.
 func VerifyCheckpoint(data []byte) error {
 	var ck sessionCheckpoint
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&ck); err != nil {
 		return fmt.Errorf("service: verify checkpoint: %w", err)
 	}
 	m := ck.Meta
-	if err := finiteValues(fmt.Sprintf("session %s: meta", m.ID),
-		append([]float64{m.PrevTime, m.BestTime}, m.State...),
-		m.BestAction, m.SanRecent); err != nil {
-		return err
+	if !mat.Finite(m.PrevTime) || !mat.Finite(m.BestTime) || !mat.AllFinite(m.State) ||
+		!mat.AllFinite(m.BestAction) || !mat.AllFinite(m.SanRecent) {
+		return fmt.Errorf("service: verify checkpoint: session %s: meta carries a non-finite value", m.ID)
 	}
 	if ck.Snap == nil {
 		return fmt.Errorf("service: verify checkpoint: session %s has no snapshot", m.ID)
 	}
-	if err := verifyReplay(m.ID, ck.Snap.Replay); err != nil {
-		return err
+	if err := ck.Snap.Replay.Check(); err != nil {
+		return fmt.Errorf("service: verify checkpoint: session %s: %w", m.ID, err)
 	}
-	return verifyAgent(m.ID, ck.Snap.Agent)
-}
-
-// verifyReplay checks every transition in every pool of a replay snapshot.
-func verifyReplay(id string, rs rl.ReplayState) error {
-	check := func(pool string, ps *rl.PoolState) error {
-		if ps == nil {
-			return nil
-		}
-		for i, tr := range ps.Transitions {
-			if err := finiteValues(fmt.Sprintf("session %s: replay %s[%d]", id, pool, i),
-				[]float64{tr.Reward}, tr.State, tr.Action, tr.NextState); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := check("uniform", rs.Uniform); err != nil {
-		return err
-	}
-	if err := check("high", rs.High); err != nil {
-		return err
-	}
-	return check("low", rs.Low)
-}
-
-// verifyAgent checks the agent's networks and Adam moments. A NaN admitted
-// into a gradient update spreads through every weight it touches, so one
-// poisoned observation that reached learning is visible here even after the
-// offending transition has aged out of replay.
-func verifyAgent(id string, st rl.TD3State) error {
-	nets := map[string]*nn.MLP{
-		"actor": st.Actor, "actor_target": st.ActorTarget,
-		"critic1": st.Critic1, "critic2": st.Critic2,
-		"critic1_target": st.Critic1T, "critic2_target": st.Critic2T,
-	}
-	for name, mlp := range nets {
-		if mlp == nil {
-			continue
-		}
-		for li, layer := range mlp.Layers {
-			where := fmt.Sprintf("session %s: %s layer %d", id, name, li)
-			if layer.W != nil {
-				if err := finiteValues(where, layer.W.Data); err != nil {
-					return err
-				}
-			}
-			if err := finiteValues(where, layer.B); err != nil {
-				return err
-			}
-		}
-	}
-	for name, opt := range map[string]nn.AdamState{
-		"actor_opt": st.ActorOpt, "critic1_opt": st.Critic1Opt, "critic2_opt": st.Critic2Opt,
-	} {
-		where := fmt.Sprintf("session %s: %s", id, name)
-		for _, mtx := range append(append([]*mat.Matrix(nil), opt.MW...), opt.VW...) {
-			if mtx == nil {
-				continue
-			}
-			if err := finiteValues(where, mtx.Data); err != nil {
-				return err
-			}
-		}
-		for _, vs := range append(opt.MB, opt.VB...) {
-			if err := finiteValues(where, vs); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// finiteValues fails on the first NaN/Inf across the given slices.
-func finiteValues(where string, slices ...[]float64) error {
-	for _, vs := range slices {
-		for _, v := range vs {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return fmt.Errorf("service: verify checkpoint: %s carries non-finite value %g", where, v)
-			}
-		}
+	if err := ck.Snap.Agent.Check(); err != nil {
+		return fmt.Errorf("service: verify checkpoint: session %s: %w", m.ID, err)
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package spine
 
 import (
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"math/rand"
@@ -125,12 +126,15 @@ func (s *Spine) TrainFamily(family string, iters int) (*Policy, error) {
 	if iters <= 0 {
 		iters = s.opts.LearnIters
 	}
-	return s.trainPass(l, ln, iters), nil
+	return s.trainPass(l, ln, iters)
 }
 
 // trainPass performs one training pass, serialized per learner, and
-// publishes the result as the family's next Policy version.
-func (s *Spine) trainPass(l *lane, ln *learner, iters int) *Policy {
+// publishes the result as the family's next Policy version. A trained state
+// that fails rl.TD3State.Check is never published: the family keeps its
+// incumbent version, the learner is rolled back to it (when there is one),
+// and the pass returns the incumbent with an error.
+func (s *Spine) trainPass(l *lane, ln *learner, iters int) (*Policy, error) {
 	ln.tmu.Lock()
 	defer ln.tmu.Unlock()
 	start := time.Now()
@@ -152,18 +156,25 @@ func (s *Spine) trainPass(l *lane, ln *learner, iters int) *Policy {
 	ln.lastIngested.Store(l.ingested.Load())
 	ln.trainings.Add(1)
 	s.met.trainings.Inc()
-	prev := 0
-	if p := ln.pub.Load(); p != nil {
-		prev = p.Version
+	inc, ver := ln.pub.Load(), 0
+	if inc != nil {
+		ver = inc.Version
 	}
-	pol := &Policy{Family: l.family, Version: prev + 1, Agent: ln.agent.CaptureState()}
+	st := ln.agent.CaptureState()
+	if err := st.Check(); err != nil {
+		if inc != nil {
+			err = errors.Join(err, ln.agent.RestoreState(inc.Agent))
+		}
+		return inc, fmt.Errorf("spine: %s: trained state refused, kept version %d: %w", l.family, ver, err)
+	}
+	pol := &Policy{Family: l.family, Version: ver + 1, Agent: st}
 	ln.pub.Store(pol)
 	ln.lastPublish.Store(time.Now().UnixNano())
 	s.trainNS.Add(time.Since(start).Nanoseconds())
 	s.met.publishes.Inc()
 	s.logg.Debug("spine policy published", "family", l.family,
 		"version", pol.Version, "iters", done, "dur", time.Since(start))
-	return pol
+	return pol, nil
 }
 
 // loop is the background learner scheduler: every LearnInterval it finds

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"deepcat/internal/core"
 	"deepcat/internal/rl"
 )
 
@@ -185,10 +186,9 @@ func (s *Spine) applyBatch(l *lane, trs []*rl.Transition) {
 		return
 	}
 	sh := l.shards[l.rr.Add(1)%uint64(len(l.shards))]
-	rth := s.opts.RewardThreshold
 	sh.mu.Lock()
 	for _, tr := range trs {
-		if tr.Reward >= rth {
+		if tr.Reward >= core.DefaultRewardThreshold {
 			sh.high.append(tr)
 		} else {
 			sh.low.append(tr)

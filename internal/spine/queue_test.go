@@ -142,8 +142,7 @@ func TestSpineQueuedIngest(t *testing.T) {
 // still be able to train and publish from what survived.
 func TestSpineShedUnderStormLearnerPublishes(t *testing.T) {
 	s := New(Options{
-		Shards: 1, ShardCapacity: 256, FlushEvery: 2, QueueCapacity: 2,
-		RewardThreshold: 0, Seed: 7,
+		Shards: 1, ShardCapacity: 256, FlushEvery: 2, QueueCapacity: 2, Seed: 7,
 	})
 	defer s.Close()
 
@@ -194,7 +193,6 @@ func TestSpineShedUnderStormLearnerPublishes(t *testing.T) {
 func TestSpineHighRewardDisplacesLow(t *testing.T) {
 	s := New(Options{
 		Shards: 1, ShardCapacity: 256, FlushEvery: 2, QueueCapacity: 1,
-		RewardThreshold: 0,
 	})
 	defer s.Close()
 	l := s.lane("TS")

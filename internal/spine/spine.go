@@ -30,6 +30,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"deepcat/internal/core"
 	"deepcat/internal/obs"
 	"deepcat/internal/rl"
 )
@@ -52,12 +53,6 @@ type Options struct {
 	// 2048 transitions per pool, so a lane retains up to
 	// Shards*ShardCapacity*2 transitions).
 	ShardCapacity int
-	// RewardThreshold is RDPER's R_th: transitions with reward >= R_th land
-	// in the high-reward pools (default 0, matching core.DefaultConfig).
-	RewardThreshold float64
-	// Beta is the fraction of each sampled batch drawn from the high-reward
-	// pools (default 0.6, the paper's pick).
-	Beta float64
 	// FlushEvery is the actor append-buffer size: enqueues are local until
 	// this many accumulate, then the batch is flushed under one lock
 	// acquisition (default 32). Actors may also Flush explicitly.
@@ -102,9 +97,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.ShardCapacity <= 0 {
 		o.ShardCapacity = 2048
-	}
-	if o.Beta <= 0 || o.Beta > 1 {
-		o.Beta = 0.6
 	}
 	if o.FlushEvery <= 0 {
 		o.FlushEvery = 32
@@ -371,10 +363,9 @@ func (a *Actor) Flush() {
 		a.buf = a.buf[:0]
 		return
 	}
-	rth := sp.opts.RewardThreshold
 	high := false
 	for _, tr := range a.buf {
-		if tr.Reward >= rth {
+		if tr.Reward >= core.DefaultRewardThreshold {
 			high = true
 			break
 		}
@@ -422,7 +413,7 @@ func (s *Spine) Sample(family string, rng *rand.Rand, n int, dst *rl.Batch) int 
 	if highN+lowN == 0 {
 		return 0
 	}
-	nHigh := int(s.opts.Beta*float64(n) + 0.999999)
+	nHigh := int(core.DefaultBeta*float64(n) + 0.999999)
 	if nHigh > n {
 		nHigh = n
 	}

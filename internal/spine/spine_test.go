@@ -21,7 +21,7 @@ func testTransition(id float64, reward float64) rl.Transition {
 }
 
 func TestSpineIngestAndSample(t *testing.T) {
-	s := New(Options{Shards: 4, ShardCapacity: 64, Beta: 0.6, FlushEvery: 8})
+	s := New(Options{Shards: 4, ShardCapacity: 64, FlushEvery: 8})
 	defer s.Close()
 
 	for i := 0; i < 40; i++ {

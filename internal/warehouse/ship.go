@@ -5,6 +5,8 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+
+	"deepcat/internal/core"
 )
 
 // This file is the warehouse half of fleet segment shipping. Each node
@@ -123,7 +125,7 @@ func (w *Warehouse) IngestRemoteSegment(source, name string, data []byte) (int, 
 	var quarantined int
 	for _, payload := range payloads {
 		rec, err := decodeRecord(payload)
-		if err != nil || validateRecord(rec) != nil || !finiteRecord(rec) {
+		if err != nil || validateRecord(rec) != nil || rec.Transition.Check() != nil {
 			quarantined++
 			continue
 		}
@@ -210,7 +212,7 @@ func (w *Warehouse) indexRemoteLocked(recs []Record) {
 	for i := range recs {
 		rec := recs[i]
 		w.remoteBySig[rec.Signature] = append(w.remoteBySig[rec.Signature], rec)
-		if rec.Transition.Reward >= w.opts.RewardThreshold {
+		if rec.Transition.Reward >= core.DefaultRewardThreshold {
 			w.remoteHigh[rec.Signature]++
 		}
 		if w.families[rec.Signature] == nil {
@@ -236,7 +238,7 @@ func (w *Warehouse) unindexRemoteLocked(recs []Record) {
 		} else {
 			w.remoteBySig[rec.Signature] = rs
 		}
-		if rec.Transition.Reward >= w.opts.RewardThreshold {
+		if rec.Transition.Reward >= core.DefaultRewardThreshold {
 			w.remoteHigh[rec.Signature]--
 		}
 	}

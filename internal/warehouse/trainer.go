@@ -10,7 +10,6 @@ import (
 	"path/filepath"
 	"runtime/pprof"
 	"sort"
-	"strconv"
 	"strings"
 	"time"
 
@@ -176,7 +175,7 @@ func (w *Warehouse) trainDonor(sig string, gen int, recs []Record, high int) (Do
 	// donor trained on even one NaN is worthless, so filter again here.
 	trs := make([]rl.Transition, 0, len(recs))
 	for _, rec := range recs {
-		if finiteRecord(rec) {
+		if rec.Transition.Check() == nil {
 			trs = append(trs, rec.Transition)
 		}
 	}
@@ -184,9 +183,7 @@ func (w *Warehouse) trainDonor(sig string, gen int, recs []Record, high int) (Do
 		return DonorMeta{}, nil, fmt.Errorf("warehouse: donor %s g%d: no finite transitions", sig, gen)
 	}
 	stateDim, actionDim := len(trs[0].State), len(trs[0].Action)
-	cfg := core.DefaultConfig(stateDim, actionDim)
-	cfg.RewardThreshold = w.opts.RewardThreshold
-	tuner, err := core.New(rand.New(rand.NewSource(donorSeed(w.opts.Seed, sig, gen))), cfg)
+	tuner, err := core.New(rand.New(rand.NewSource(donorSeed(w.opts.Seed, sig, gen))), core.DefaultConfig(stateDim, actionDim))
 	if err != nil {
 		return DonorMeta{}, nil, fmt.Errorf("warehouse: donor %s g%d: %w", sig, gen, err)
 	}
@@ -196,6 +193,11 @@ func (w *Warehouse) trainDonor(sig string, gen int, recs []Record, high int) (Do
 	// the learned networks — the warm-start path refills replay from the
 	// log itself.
 	snap, err := tuner.Clone().Snapshot()
+	if err == nil {
+		// Finite input does not guarantee finite weights: a diverged
+		// training run must not become the family's warm-start source.
+		err = snap.Agent.Check()
+	}
 	if err != nil {
 		return DonorMeta{}, nil, fmt.Errorf("warehouse: donor %s g%d: %w", sig, gen, err)
 	}
@@ -246,7 +248,8 @@ func (w *Warehouse) saveDonor(meta DonorMeta, snap *core.Snapshot) error {
 
 // loadDonors scans the directory for persisted donors and attaches them to
 // their families (creating a family entry when the log was compacted away
-// but the donor survived). Unreadable donor files are skipped.
+// but the donor survived). Unreadable donor files, and donors whose agent
+// fails rl.TD3State.Check, are skipped.
 func (w *Warehouse) loadDonors() error {
 	entries, err := os.ReadDir(w.opts.Dir)
 	if err != nil {
@@ -264,7 +267,7 @@ func (w *Warehouse) loadDonors() error {
 		var df donorFile
 		decErr := gob.NewDecoder(f).Decode(&df)
 		f.Close()
-		if decErr != nil || df.Snap == nil || df.Meta.Signature == "" {
+		if decErr != nil || df.Snap == nil || df.Meta.Signature == "" || df.Snap.Agent.Check() != nil {
 			continue
 		}
 		fam := w.families[df.Meta.Signature]
@@ -332,22 +335,4 @@ func (w *Warehouse) WarmStart(sig string, rth float64, maxSeeds int) (WarmStart,
 		}
 	}
 	return ws, true
-}
-
-// parseDonorGen is used only in tests; it extracts the generation from a
-// donor file name, returning 0 when the name does not parse.
-func parseDonorGen(name string) int {
-	if !strings.HasPrefix(name, "donor-") || !strings.HasSuffix(name, ".snap") {
-		return 0
-	}
-	base := strings.TrimSuffix(name, ".snap")
-	i := strings.LastIndex(base, "-g")
-	if i < 0 {
-		return 0
-	}
-	n, err := strconv.Atoi(base[i+2:])
-	if err != nil {
-		return 0
-	}
-	return n
 }

@@ -14,13 +14,13 @@ import (
 	"encoding/gob"
 	"errors"
 	"fmt"
-	"math"
 	"os"
 	"path/filepath"
 	"sort"
 	"sync"
 	"time"
 
+	"deepcat/internal/core"
 	"deepcat/internal/obs"
 	"deepcat/internal/rl"
 )
@@ -71,10 +71,6 @@ type Options struct {
 	// CompactAfterSegments triggers background compaction once this many
 	// sealed segments accumulate (default 8).
 	CompactAfterSegments int
-	// RewardThreshold is the R_th used for high-reward accounting; it
-	// should match the tuners feeding the log (default 0, the core
-	// default).
-	RewardThreshold float64
 
 	// TrainInterval is the period of the background trainer/compactor
 	// loop; zero or negative disables it, leaving TrainFamily and Compact
@@ -142,7 +138,7 @@ type family struct {
 	sig string
 	// recs holds the retained records in arrival order (oldest first).
 	recs []Record
-	// high counts retained records with reward >= RewardThreshold.
+	// high counts retained records with reward >= core's R_th.
 	high int
 	// appended counts every record ever logged for the family, including
 	// ones retention has dropped.
@@ -260,7 +256,7 @@ func Open(opts Options) (*Warehouse, error) {
 			w.recovered.Records--
 			continue
 		}
-		if !finiteRecord(rec) {
+		if rec.Transition.Check() != nil {
 			// A log written before the ingest guard existed may carry
 			// NaN/Inf; quarantine on replay so corruption never reaches
 			// donor training, whatever its vintage.
@@ -331,7 +327,7 @@ func (w *Warehouse) AppendBatch(recs []Record) error {
 		if err := validateRecord(rec); err != nil {
 			return err
 		}
-		if !finiteRecord(rec) {
+		if rec.Transition.Check() != nil {
 			// Quarantine, don't error: the warehouse is advisory, and one
 			// corrupt measurement must not abort the rest of the batch or
 			// the caller's observe path. The record never reaches the log,
@@ -375,25 +371,6 @@ func validateRecord(rec Record) error {
 	return nil
 }
 
-// finiteRecord reports whether every numeric field of the record's
-// transition is finite. Non-finite transitions are quarantined rather than
-// logged: a single NaN reward would silently poison every future donor
-// trained on the family.
-func finiteRecord(rec Record) bool {
-	tr := rec.Transition
-	if math.IsNaN(tr.Reward) || math.IsInf(tr.Reward, 0) {
-		return false
-	}
-	for _, vs := range [][]float64{tr.State, tr.Action, tr.NextState} {
-		for _, v := range vs {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
 // ScanRecords calls fn for every retained record, families in signature
 // order and records oldest first, stopping early when fn returns false.
 // The warehouse lock is held for the duration: fn must be quick and must
@@ -430,11 +407,11 @@ func (w *Warehouse) indexLocked(rec Record) {
 	fam.recs = append(fam.recs, rec)
 	fam.appended++
 	w.retained++
-	if rec.Transition.Reward >= w.opts.RewardThreshold {
+	if rec.Transition.Reward >= core.DefaultRewardThreshold {
 		fam.high++
 	}
 	for len(fam.recs) > w.opts.RetainPerFamily {
-		if fam.recs[0].Transition.Reward >= w.opts.RewardThreshold {
+		if fam.recs[0].Transition.Reward >= core.DefaultRewardThreshold {
 			fam.high--
 		}
 		fam.recs = fam.recs[1:]

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -420,7 +421,7 @@ func TestQuarantineNonFiniteIngest(t *testing.T) {
 	}
 	var scanned int
 	if err := w.ScanRecords(func(rec Record) bool {
-		if !finiteRecord(rec) {
+		if rec.Transition.Check() != nil {
 			t.Fatalf("non-finite record survived ingest: %+v", rec)
 		}
 		scanned++
@@ -502,4 +503,48 @@ func TestTrainDonorFiltersNonFinite(t *testing.T) {
 	if _, _, err := w.trainDonor("a.TS.1", 2, all, 0); err == nil {
 		t.Fatal("training on all-poisoned records succeeded")
 	}
+}
+
+// TestDivergedDonorRefused trains a donor on finite but enormous rewards,
+// which drive the critics' weights to NaN. The trainer must refuse to save
+// it: the training counts as failed and the family keeps no donor, on disk
+// or in memory.
+func TestDivergedDonorRefused(t *testing.T) {
+	dir := t.TempDir()
+	w := mustOpen(t, Options{Dir: dir, TrainIters: 50})
+	defer w.Close()
+	recs := makeRecords("a.TS.1", 64, 1)
+	for i := range recs {
+		recs[i].Transition.Reward = math.MaxFloat64
+	}
+	if err := w.AppendBatch(recs); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.TrainFamily("a.TS.1"); err == nil {
+		t.Fatal("diverged donor trained without error")
+	}
+	if ds, _ := w.Donors("a.TS.1"); len(ds) != 0 {
+		t.Fatalf("diverged donor kept: %+v", ds)
+	}
+	if files, _ := filepath.Glob(filepath.Join(dir, "donor-*.snap")); len(files) != 0 {
+		t.Fatalf("diverged donor written: %v", files)
+	}
+}
+
+// parseDonorGen extracts the generation from a donor file name, returning
+// 0 when the name does not parse.
+func parseDonorGen(name string) int {
+	if !strings.HasPrefix(name, "donor-") || !strings.HasSuffix(name, ".snap") {
+		return 0
+	}
+	base := strings.TrimSuffix(name, ".snap")
+	i := strings.LastIndex(base, "-g")
+	if i < 0 {
+		return 0
+	}
+	n, err := strconv.Atoi(base[i+2:])
+	if err != nil {
+		return 0
+	}
+	return n
 }
