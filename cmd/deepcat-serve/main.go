@@ -8,379 +8,91 @@
 //	deepcat-serve -addr :8080 -data ./deepcat-data -max-sessions 64 \
 //	    -warehouse ./deepcat-data/warehouse -metrics-addr 127.0.0.1:9090
 //
-// The -warehouse flag enables the fleet experience warehouse: every
-// session's transitions are appended to a crash-safe log under that
-// directory, a background pool distills each workload family into donor
-// agents, and new sessions on a known workload warm-start from them.
-//
-// The -metrics-addr flag starts a second listener serving Prometheus
-// metrics on /metrics and the standard net/http/pprof profiling endpoints
-// under /debug/pprof/. Keeping them off the tuning port means a scraper or
-// an attached profiler can never contend with suggest/observe traffic, and
-// the operations port can stay firewalled to the operator network. When
-// the flag is unset no registry exists and every recording site in the
-// stack is a no-op.
-//
-// The -trace-ring flag (on by default) keeps a bounded flight-recorder
-// ring of decision events per session, served on
-// GET /v1/sessions/{id}/trace and exportable as Chrome trace-event JSON on
-// GET /v1/sessions/{id}/trace/export?format=chrome; -trace-dir additionally
-// spools every event to <dir>/<session>.jsonl for inspection with
-// deepcat-trace after the session is gone. -log-format json switches the
-// daemon's log lines from key=value to one JSON object per line.
-//
-// Actor/learner mode: -spine switches sessions from inline fine-tuning to
-// the shared replay spine — each observation is enqueued into a sharded,
-// lock-minimal experience buffer, per-workload-family learners train off it
-// in the background (-spine-learn-interval, -spine-learn-iters,
-// -spine-workers), and every -spine-adopt-every observations a session
-// adopts the latest published policy weights. -spine-shards and
-// -spine-capacity size the buffer. With a warehouse configured the spine is
-// warm-started from the WAL at boot.
-//
-// Fault handling: the -breaker-threshold and -breaker-cooldown flags
-// configure the per-session circuit breaker (consecutive failed runs trip a
-// session into degraded mode, where it serves its last known good
-// configuration until a half-open probe succeeds), and -sanitize-window
-// sizes the observation sanitizer that quarantines non-finite and outlier
-// measurements before they can reach learning, checkpoints or the
-// warehouse. The -read-header-timeout, -read-timeout and -idle-timeout
-// flags bound how long a client connection can stall either listener.
-//
-// Overload handling: -admission turns on adaptive AIMD load shedding —
-// guarded endpoints answer 429 + Retry-After when the learned concurrency
-// limit is hit, with priority headroom admitting suggest before observe
-// before admin traffic (-admission-initial/-min/-max size the limit).
-// Requests carrying an X-Deepcat-Deadline millisecond budget are rejected
-// up front with 504 when the budget cannot cover the endpoint's observed
-// p99, and the remaining budget becomes the request context's deadline on
-// every hop. -spine-queue bounds the replay spine's ingest queue so
-// experience sheds (oldest low-priority first) instead of backpressuring
-// the serving path.
-//
-// Fleet mode: -peers lists every member's base URL (comma-separated,
-// including this node's own -public-url) and shards sessions across them
-// on a consistent-hash ring. Any node answers any request — sessions owned
-// elsewhere are 307-redirected (or proxied server-side with -fleet-proxy)
-// to their owner — and sealed warehouse WAL segments replicate between
-// peers so donor training sees the whole fleet's experience. Point every
-// member's -data at the same shared directory and a killed member's
-// sessions resume on their new ring owner from the last acknowledged
-// observation.
+// service.Assemble builds the daemon from the flags below (run with -h for
+// their meaning); everything without a flag takes its library default. The
+// optional parts are the experience warehouse (-warehouse), the ops
+// listener for /metrics and /debug/pprof (-metrics-addr), the flight
+// recorder (-trace-ring, -trace-dir), the actor/learner replay spine
+// (-spine, -spine-learn-interval, -spine-queue), adaptive load shedding
+// (-admission) and fleet sharding (-peers, -public-url, -fleet-proxy,
+// -fleet-ship-interval, -fleet-seal-interval). README.md describes each.
 //
 // On SIGINT/SIGTERM the daemon stops accepting connections, drains
-// in-flight requests, checkpoints every session, flushes the warehouse and
-// exits.
+// in-flight requests for up to -drain, checkpoints every session, flushes
+// the warehouse and exits.
 package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
-	"net/http"
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
-	"deepcat/internal/admission"
-	"deepcat/internal/fleet"
-	"deepcat/internal/obs"
 	"deepcat/internal/service"
-	"deepcat/internal/spine"
-	"deepcat/internal/warehouse"
 )
 
+// flags binds deepcat-serve's command line into cfg.
+func flags(cfg *service.Config) *flag.FlagSet {
+	fs := flag.NewFlagSet("deepcat-serve", flag.ExitOnError)
+	fs.StringVar(&cfg.Addr, "addr", ":8080", "listen address")
+	fs.StringVar(&cfg.Data, "data", "deepcat-data", "checkpoint directory")
+	fs.IntVar(&cfg.MaxSessions, "max-sessions", 64, "maximum live sessions (0 = unlimited)")
+	fs.DurationVar(&cfg.Drain, "drain", 30*time.Second, "graceful-shutdown drain timeout")
+	fs.StringVar(&cfg.MetricsAddr, "metrics-addr", "", "operations listen address serving /metrics and /debug/pprof (empty = disabled)")
+	fs.StringVar(&cfg.LogLevel, "log-level", "info", "log level: debug, info, warn or error")
+	fs.StringVar(&cfg.LogFormat, "log-format", "kv", "log line format: kv or json")
+	fs.IntVar(&cfg.TraceRing, "trace-ring", 512, "per-session flight-recorder ring size (0 = tracing disabled)")
+	fs.StringVar(&cfg.TraceDir, "trace-dir", "", "directory for per-session trace spools (empty = ring only)")
+	fs.BoolVar(&cfg.Spine, "spine", false, "actor/learner mode: sessions enqueue experience into a shared replay spine and adopt weights from per-family learners instead of training inline")
+	fs.DurationVar(&cfg.SpineLearnInterval, "spine-learn-interval", 2*time.Second, "background learner pass period (0 = learners run only on demand)")
+	fs.IntVar(&cfg.SpineQueue, "spine-queue", 0, "bounded ingest-queue capacity in flush batches: sessions enqueue experience asynchronously and the spine sheds oldest low-priority batches under overload (0 = synchronous ingest)")
+	fs.StringVar(&cfg.Warehouse, "warehouse", "", "experience warehouse directory (empty = disabled)")
+	fs.BoolVar(&cfg.Admission, "admission", false, "adaptive AIMD load shedding: guarded endpoints answer 429 + Retry-After when the concurrency limit is hit, with priority headroom (suggest > observe > admin)")
+	fs.StringVar(&cfg.Peers, "peers", "", "comma-separated fleet member base URLs, including this node's -public-url (empty = standalone)")
+	fs.StringVar(&cfg.PublicURL, "public-url", "", "this node's advertised base URL, e.g. http://10.0.0.3:8080 (required with -peers)")
+	fs.BoolVar(&cfg.FleetProxy, "fleet-proxy", false, "forward misrouted requests server-side instead of 307-redirecting")
+	fs.DurationVar(&cfg.FleetShipInterval, "fleet-ship-interval", 5*time.Second, "warehouse segment replication pull period")
+	fs.DurationVar(&cfg.FleetSealInterval, "fleet-seal-interval", 30*time.Second, "active warehouse segment force-seal period")
+	return fs
+}
+
 func main() {
-	var (
-		addr        = flag.String("addr", ":8080", "listen address")
-		dataDir     = flag.String("data", "deepcat-data", "checkpoint directory")
-		maxSessions = flag.Int("max-sessions", 64, "maximum live sessions (0 = unlimited)")
-		drain       = flag.Duration("drain", 30*time.Second, "graceful-shutdown drain timeout")
-
-		readHeaderTimeout = flag.Duration("read-header-timeout", 5*time.Second, "HTTP header read deadline")
-		readTimeout       = flag.Duration("read-timeout", 30*time.Second, "HTTP full-request read deadline")
-		idleTimeout       = flag.Duration("idle-timeout", 2*time.Minute, "HTTP keep-alive idle deadline")
-
-		breakerThreshold = flag.Int("breaker-threshold", 5, "consecutive failed observations before a session degrades (negative = breaker disabled)")
-		breakerCooldown  = flag.Int("breaker-cooldown", 2, "degraded observations before a half-open recovery probe")
-		sanitizeWindow   = flag.Int("sanitize-window", 20, "observation-sanitizer history window (negative = outlier test disabled)")
-
-		metricsAddr = flag.String("metrics-addr", "", "operations listen address serving /metrics and /debug/pprof (empty = disabled)")
-		logLevel    = flag.String("log-level", "info", "log level: debug, info, warn or error")
-		logFormat   = flag.String("log-format", "kv", "log line format: kv or json")
-
-		traceRing = flag.Int("trace-ring", 512, "per-session flight-recorder ring size (0 = tracing disabled)")
-		traceDir  = flag.String("trace-dir", "", "directory for per-session trace spools (empty = ring only)")
-
-		spineOn         = flag.Bool("spine", false, "actor/learner mode: sessions enqueue experience into a shared replay spine and adopt weights from per-family learners instead of training inline")
-		spineShards     = flag.Int("spine-shards", 8, "replay-spine shards per workload-family lane")
-		spineCapacity   = flag.Int("spine-capacity", 2048, "replay-spine transitions per shard pool (high and low each)")
-		spineInterval   = flag.Duration("spine-learn-interval", 2*time.Second, "background learner pass period (0 = learners run only on demand)")
-		spineIters      = flag.Int("spine-learn-iters", 4, "gradient updates per learner pass")
-		spineWorkers    = flag.Int("spine-workers", 2, "concurrent learner passes")
-		spineAdoptEvery = flag.Int("spine-adopt-every", service.DefaultSpineAdoptEvery, "observations between a session's policy-weight adoption checks")
-		spineQueue      = flag.Int("spine-queue", 0, "bounded ingest-queue capacity in flush batches: sessions enqueue experience asynchronously and the spine sheds oldest low-priority batches under overload (0 = synchronous ingest)")
-
-		whDir      = flag.String("warehouse", "", "experience warehouse directory (empty = disabled)")
-		whInterval = flag.Duration("warehouse-interval", time.Minute, "warehouse trainer/compactor period")
-		whIters    = flag.Int("warehouse-train-iters", 500, "gradient updates per donor training")
-		whWorkers  = flag.Int("warehouse-workers", 2, "concurrent donor trainings")
-
-		admissionOn      = flag.Bool("admission", false, "adaptive AIMD load shedding: guarded endpoints answer 429 + Retry-After when the concurrency limit is hit, with priority headroom (suggest > observe > admin)")
-		admissionInitial = flag.Int("admission-initial", 0, "initial concurrency limit (0 = library default)")
-		admissionMin     = flag.Int("admission-min", 0, "concurrency-limit floor under persistent congestion (0 = library default)")
-		admissionMax     = flag.Int("admission-max", 0, "concurrency-limit ceiling (0 = library default)")
-
-		peers        = flag.String("peers", "", "comma-separated fleet member base URLs, including this node's -public-url (empty = standalone)")
-		publicURL    = flag.String("public-url", "", "this node's advertised base URL, e.g. http://10.0.0.3:8080 (required with -peers)")
-		fleetProxy   = flag.Bool("fleet-proxy", false, "forward misrouted requests server-side instead of 307-redirecting")
-		probePeriod  = flag.Duration("fleet-probe-interval", time.Second, "peer readiness probe period")
-		shipInterval = flag.Duration("fleet-ship-interval", 5*time.Second, "warehouse segment replication pull period")
-		sealInterval = flag.Duration("fleet-seal-interval", 30*time.Second, "active warehouse segment force-seal period")
-	)
-	flag.Parse()
-
-	level, err := obs.ParseLevel(*logLevel)
+	var cfg service.Config
+	_ = flags(&cfg).Parse(os.Args[1:]) // ExitOnError: a bad flag exits here
+	d, err := service.Assemble(cfg)
 	if err != nil {
 		fatal(err)
 	}
-	format, err := obs.ParseFormat(*logFormat)
-	if err != nil {
-		fatal(err)
-	}
-	logger := obs.NewLoggerFormat(os.Stderr, level, format)
-	// The registry only exists when something will scrape it; without it
-	// every instrument in the stack is nil and recording is a nil check.
-	// A fleet member is always scrapeable: peers' /v1/fleet/metrics
-	// aggregation pulls its /v1/metrics/snapshot on the tuning port.
-	var reg *obs.Registry
-	if *metricsAddr != "" || *peers != "" {
-		reg = obs.NewRegistry()
-	}
-
-	store, err := service.NewFSStore(*dataDir)
-	if err != nil {
-		fatal(err)
-	}
-	manager := service.NewManager(store, *maxSessions)
-	manager.AttachObs(reg, logger)
-	manager.SetResilience(service.Resilience{
-		BreakerThreshold: *breakerThreshold,
-		BreakerCooldown:  *breakerCooldown,
-		SanitizeWindow:   *sanitizeWindow,
-	})
-	if *traceRing > 0 {
-		if *traceDir != "" {
-			if err := os.MkdirAll(*traceDir, 0o755); err != nil {
-				fatal(err)
-			}
-		}
-		manager.AttachTrace(service.TraceConfig{RingSize: *traceRing, Dir: *traceDir})
-		fmt.Printf("flight recorder on: ring %d events/session", *traceRing)
-		if *traceDir != "" {
-			fmt.Printf(", spooling to %s", *traceDir)
-		}
-		fmt.Println()
-	}
-	var wh *warehouse.Warehouse
-	if *whDir != "" {
-		wh, err = warehouse.Open(warehouse.Options{
-			Dir:           *whDir,
-			TrainInterval: *whInterval,
-			TrainIters:    *whIters,
-			TrainWorkers:  *whWorkers,
-			Registry:      reg,
-			Logger:        logger,
-		})
-		if err != nil {
-			fatal(err)
-		}
-		manager.AttachWarehouse(wh)
-		st := wh.Stats()
-		fmt.Printf("warehouse in %s: %d records across %d families recovered",
-			st.Dir, st.Records, len(st.Families))
-		if st.TruncatedBytes > 0 || st.DroppedBytes > 0 {
-			fmt.Printf(" (torn tail truncated: %dB, corrupt skipped: %dB)",
-				st.TruncatedBytes, st.DroppedBytes)
-		}
-		fmt.Println()
-	}
-	var spn *spine.Spine
-	if *spineOn {
-		spn = spine.New(spine.Options{
-			Shards:        *spineShards,
-			ShardCapacity: *spineCapacity,
-			LearnInterval: *spineInterval,
-			LearnIters:    *spineIters,
-			Workers:       *spineWorkers,
-			QueueCapacity: *spineQueue,
-			Registry:      reg,
-			Logger:        logger,
-		})
-		manager.AttachSpine(service.SpineConfig{Spine: spn, AdoptEvery: *spineAdoptEvery})
-		// The spine is memory-only; replaying the warehouse WAL into it at
-		// boot means the learner pool resumes from the fleet's history
-		// instead of an empty ring.
-		if warmed := service.WarmSpineFromWarehouse(spn, wh); warmed > 0 {
-			fmt.Printf("spine warm-started with %d transitions from the warehouse\n", warmed)
-		}
-		fmt.Printf("actor/learner spine on: %d shards x %d/pool, learner pass every %s, adopt every %d observations\n",
-			*spineShards, *spineCapacity, *spineInterval, *spineAdoptEvery)
-		if *spineQueue > 0 {
-			fmt.Printf("spine ingest backpressure on: bounded queue of %d batches, oldest low-priority sheds first\n", *spineQueue)
-		}
-	}
-	var adm *admission.Limiter
-	if *admissionOn {
-		adm = admission.New(admission.Config{
-			Initial: float64(*admissionInitial),
-			Min:     float64(*admissionMin),
-			Max:     float64(*admissionMax),
-		})
-		fmt.Println("adaptive admission control on: AIMD concurrency limit with priority headroom")
-	}
-	var (
-		router  *fleet.Router
-		shipper *fleet.Shipper
-	)
-	if *peers != "" {
-		if *publicURL == "" {
-			fatal(errors.New("-peers requires -public-url"))
-		}
-		router, err = fleet.NewRouter(fleet.Config{
-			Self:          *publicURL,
-			Peers:         strings.Split(*peers, ","),
-			ProbeInterval: *probePeriod,
-			Registry:      reg,
-			Logger:        logger,
-		})
-		if err != nil {
-			fatal(err)
-		}
-		// With every member's -data on one shared directory, only resume
-		// the sessions this shard owns; the rest are peers' to serve.
-		manager.SetOwned(router.Owns)
-		if wh != nil {
-			shipper, err = fleet.NewShipper(fleet.ShipperConfig{
-				Warehouse:    wh,
-				Router:       router,
-				Interval:     *shipInterval,
-				SealInterval: *sealInterval,
-				Registry:     reg,
-				Logger:       logger,
-			})
-			if err != nil {
-				fatal(err)
-			}
-		}
-		fmt.Printf("fleet member %s of %d peers\n", *publicURL, len(router.Peers()))
-	}
-
-	resumed, err := manager.Resume()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "deepcat-serve: some checkpoints not resumed:", err)
-	}
-	if resumed > 0 {
-		fmt.Printf("resumed %d session(s) from %s\n", resumed, store.Dir())
-	}
-
-	// Server-side deadlines keep one stalled or malicious client from
-	// pinning a connection (and its goroutine) forever; request handling
-	// itself is bounded by the per-request contexts the handlers plumb down.
-	srv := &http.Server{
-		Addr:              *addr,
-		Handler:           service.NewFleetServer(manager, service.FleetOptions{Router: router, Proxy: *fleetProxy, Admission: adm}),
-		ReadHeaderTimeout: *readHeaderTimeout,
-		ReadTimeout:       *readTimeout,
-		IdleTimeout:       *idleTimeout,
+	if d.Ops != nil {
+		d.Ops.HandleFunc("/debug/pprof/", pprof.Index)
+		d.Ops.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+		d.Ops.HandleFunc("/debug/pprof/profile", pprof.Profile)
+		d.Ops.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+		d.Ops.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
 	errc := make(chan error, 1)
-	go func() { errc <- srv.ListenAndServe() }()
+	go func() { errc <- d.Server.ListenAndServe() }()
 	fmt.Printf("deepcat-serve listening on %s (checkpoints in %s, max %d sessions)\n",
-		*addr, store.Dir(), *maxSessions)
-	// Probing and shipping start only once this node itself is serving, so
-	// peers' probes and pulls against it race nothing.
-	if router != nil {
-		router.Start()
-	}
-	if shipper != nil {
-		shipper.Start()
-	}
-
-	var opsSrv *http.Server
-	if *metricsAddr != "" {
-		opsSrv = &http.Server{
-			Addr:              *metricsAddr,
-			Handler:           opsMux(reg),
-			ReadHeaderTimeout: *readHeaderTimeout,
-			// No ReadTimeout here: pprof profile captures legitimately hold
-			// the request open for their whole -seconds duration.
-			IdleTimeout: *idleTimeout,
-		}
-		go func() {
-			if err := opsSrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
-				// The ops listener failing must not take tuning down with
-				// it; losing observability is an error, not an outage.
-				logger.Error("metrics listener failed", "addr", *metricsAddr, "err", err)
-			}
-		}()
-		fmt.Printf("metrics and pprof on %s (/metrics, /debug/pprof/)\n", *metricsAddr)
-	}
+		cfg.Addr, cfg.Data, cfg.MaxSessions)
+	d.Start()
 
 	select {
 	case err := <-errc:
 		fatal(err)
 	case <-ctx.Done():
 	}
-
 	fmt.Println("shutting down: draining in-flight requests...")
-	if shipper != nil {
-		shipper.Close()
-	}
-	if router != nil {
-		router.Close()
-	}
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), *drain)
-	defer cancel()
-	if err := srv.Shutdown(shutdownCtx); err != nil && !errors.Is(err, http.ErrServerClosed) {
-		fmt.Fprintln(os.Stderr, "deepcat-serve: shutdown:", err)
-	}
-	if opsSrv != nil {
-		opsSrv.Close()
-	}
-	if err := manager.CheckpointAll(); err != nil {
-		fmt.Fprintln(os.Stderr, "deepcat-serve: final checkpoint:", err)
-	}
-	if spn != nil {
-		spn.Close()
-	}
-	if wh != nil {
-		if err := wh.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, "deepcat-serve: warehouse close:", err)
-		}
+	if err := d.Close(); err != nil {
+		fmt.Fprintln(os.Stderr, "deepcat-serve:", err)
 	}
 	fmt.Println("all sessions checkpointed; bye")
-}
-
-// opsMux builds the operations handler: Prometheus exposition plus the
-// pprof suite, registered explicitly so nothing rides on
-// http.DefaultServeMux.
-func opsMux(reg *obs.Registry) *http.ServeMux {
-	mux := http.NewServeMux()
-	mux.Handle("/metrics", reg.Handler())
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	return mux
 }
 
 func fatal(err error) {

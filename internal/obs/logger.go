@@ -75,13 +75,6 @@ func ParseFormat(s string) (Format, error) {
 	return FormatKV, fmt.Errorf("obs: unknown log format %q", s)
 }
 
-// output is the shared sink behind a Logger and all its With children, so
-// concurrent writes from different derived loggers never interleave.
-type output struct {
-	mu sync.Mutex
-	w  io.Writer
-}
-
 // Logger writes leveled key=value lines:
 //
 //	time=2026-08-05T12:00:00.000Z level=info msg="session created" id=s-1f
@@ -92,10 +85,10 @@ type output struct {
 //
 // A nil *Logger discards everything, so call sites never branch.
 type Logger struct {
-	out    *output
+	mu     sync.Mutex // one line at a time, so concurrent writes never interleave
+	w      io.Writer
 	min    Level
 	format Format
-	ctx    string // pre-rendered bound pairs in the logger's format
 	now    func() time.Time
 }
 
@@ -106,23 +99,7 @@ func NewLogger(w io.Writer, min Level) *Logger {
 
 // NewLoggerFormat is NewLogger with an explicit line format.
 func NewLoggerFormat(w io.Writer, min Level, format Format) *Logger {
-	return &Logger{out: &output{w: w}, min: min, format: format, now: time.Now}
-}
-
-// With returns a child logger with kv (alternating key, value) appended to
-// every line. The child shares the parent's writer, level and format.
-func (l *Logger) With(kv ...any) *Logger {
-	if l == nil || len(kv) == 0 {
-		return l
-	}
-	var b strings.Builder
-	b.WriteString(l.ctx)
-	if l.format == FormatJSON {
-		appendPairsJSON(&b, kv)
-	} else {
-		appendPairs(&b, kv)
-	}
-	return &Logger{out: l.out, min: l.min, format: l.format, ctx: b.String(), now: l.now}
+	return &Logger{w: w, min: min, format: format, now: time.Now}
 }
 
 // Enabled reports whether level would be written; guard expensive argument
@@ -155,7 +132,6 @@ func (l *Logger) log(level Level, msg string, kv []any) {
 		b.WriteString(level.String())
 		b.WriteString(`","msg":`)
 		b.WriteString(jsonValue(msg))
-		b.WriteString(l.ctx)
 		appendPairsJSON(&b, kv)
 		b.WriteByte('}')
 	} else {
@@ -165,13 +141,12 @@ func (l *Logger) log(level Level, msg string, kv []any) {
 		b.WriteString(level.String())
 		b.WriteString(" msg=")
 		b.WriteString(formatValue(msg))
-		b.WriteString(l.ctx)
 		appendPairs(&b, kv)
 	}
 	b.WriteByte('\n')
-	l.out.mu.Lock()
-	defer l.out.mu.Unlock()
-	_, _ = io.WriteString(l.out.w, b.String())
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	_, _ = io.WriteString(l.w, b.String())
 }
 
 // appendPairs renders alternating key/value arguments; a trailing odd

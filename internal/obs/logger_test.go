@@ -45,26 +45,12 @@ func TestLoggerLevelFiltering(t *testing.T) {
 	}
 }
 
-func TestLoggerWith(t *testing.T) {
-	var b strings.Builder
-	l := NewLogger(&b, LevelInfo).With("request_id", "r-abc")
-	l.now = fixedClock
-	l.Info("handled", "code", 200)
-	got := b.String()
-	if !strings.Contains(got, "request_id=r-abc") || !strings.Contains(got, "code=200") {
-		t.Fatalf("With context missing: %q", got)
-	}
-}
-
 func TestNilLogger(t *testing.T) {
 	var l *Logger
 	l.Debug("x")
 	l.Info("x", "k", "v")
 	l.Warn("x")
 	l.Error("x")
-	if l.With("k", "v") != nil {
-		t.Fatal("nil logger With should stay nil")
-	}
 	if l.Enabled(LevelError) {
 		t.Fatal("nil logger reports enabled")
 	}
@@ -121,20 +107,6 @@ func TestLoggerJSONFormat(t *testing.T) {
 				t.Fatalf("line missing %q: %s", key, line)
 			}
 		}
-	}
-}
-
-func TestLoggerJSONWith(t *testing.T) {
-	var b strings.Builder
-	l := NewLoggerFormat(&b, LevelInfo, FormatJSON).With("request_id", "r-abc", "n", 7)
-	l.now = fixedClock
-	l.Info("handled", "code", 200)
-	var rec map[string]any
-	if err := json.Unmarshal([]byte(strings.TrimSpace(b.String())), &rec); err != nil {
-		t.Fatalf("not valid JSON: %v\n%s", err, b.String())
-	}
-	if rec["request_id"] != "r-abc" || rec["n"] != float64(7) || rec["code"] != float64(200) {
-		t.Fatalf("bound context lost: %v", rec)
 	}
 }
 

@@ -130,31 +130,33 @@ func NewHistogram(buckets []float64) *Histogram {
 	}
 }
 
-// Quantile estimates the q-quantile (q in [0,1]) of the observed values by
-// linear interpolation within the bucket holding it. Values beyond the
-// last finite bound are clamped to it; an empty histogram reports 0.
+// Quantile estimates the q-quantile (q in [0,1]) of the observed values;
+// see bucketQuantile. It allocates nothing, so the deadline gate can call
+// it on every budgeted request.
 func (h *Histogram) Quantile(q float64) float64 {
-	if h == nil || len(h.bounds) == 0 {
+	if h == nil {
 		return 0
 	}
-	total := h.count.Load()
-	if total == 0 {
+	return bucketQuantile(q, h.bounds, h.count.Load(), func(i int) uint64 { return h.counts[i].Load() })
+}
+
+// bucketQuantile estimates the q-quantile of total observations spread
+// over fixed buckets (count(i) observations at or below bounds[i]) by
+// linear interpolation within the bucket holding it. Values beyond the
+// last finite bound are clamped to it; no observations report 0.
+func bucketQuantile(q float64, bounds []float64, total uint64, count func(i int) uint64) float64 {
+	if len(bounds) == 0 || total == 0 {
 		return 0
 	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
+	q = math.Min(math.Max(q, 0), 1)
 	rank := q * float64(total)
 	var cum uint64
-	for i, bound := range h.bounds {
-		n := h.counts[i].Load()
+	for i, bound := range bounds {
+		n := count(i)
 		if float64(cum)+float64(n) >= rank {
 			lower := 0.0
 			if i > 0 {
-				lower = h.bounds[i-1]
+				lower = bounds[i-1]
 			}
 			if n == 0 {
 				return bound
@@ -166,7 +168,7 @@ func (h *Histogram) Quantile(q float64) float64 {
 	}
 	// The quantile lands in the +Inf bucket; the last finite bound is the
 	// best statement the fixed buckets can make.
-	return h.bounds[len(h.bounds)-1]
+	return bounds[len(bounds)-1]
 }
 
 // ObserveSince records the seconds elapsed since start.

@@ -1,6 +1,8 @@
 package obs
 
 import (
+	"math"
+	"math/rand"
 	"strings"
 	"sync"
 	"testing"
@@ -146,4 +148,44 @@ func TestKindMismatchPanics(t *testing.T) {
 		}
 	}()
 	r.Gauge("deepcat_mixed")
+}
+
+// TestHistogramQuantile pins the interpolation on a small layout, then
+// checks on seeded random data (spanning every bucket and the +Inf one)
+// that a live histogram and its registry snapshot report the same
+// quantiles, and that the live routine allocates nothing.
+func TestHistogramQuantile(t *testing.T) {
+	small := NewHistogram([]float64{1, 2, 4})
+	if got := small.Quantile(0.5); got != 0 {
+		t.Fatalf("empty histogram p50 = %v, want 0", got)
+	}
+	for _, v := range []float64{1, 1, 1.5, 1.5, 10} {
+		small.Observe(v)
+	}
+	for _, c := range []struct{ q, want float64 }{{0.4, 1}, {0.6, 1.5}, {0.8, 2}, {1, 4}} {
+		if got := small.Quantile(c.q); got != c.want {
+			t.Errorf("Quantile(%v) = %v, want %v", c.q, got, c.want)
+		}
+	}
+
+	reg := NewRegistry()
+	h := reg.Histogram("quantile_test_seconds", nil)
+	rng := rand.New(rand.NewSource(7))
+	for i := 0; i < 5000; i++ {
+		h.Observe(math.Exp(rng.NormFloat64()*2.5 - 3))
+	}
+	var snap *HistogramSnapshot
+	for _, ins := range reg.Snapshot().Instruments {
+		if ins.Name == "quantile_test_seconds" {
+			snap = ins.Histogram
+		}
+	}
+	for _, q := range []float64{-1, 0, 0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 0.999, 1, 2} {
+		if live, snapped := h.Quantile(q), snap.Quantile(q); live != snapped {
+			t.Errorf("Quantile(%v): live %v, snapshot %v", q, live, snapped)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { h.Quantile(0.99) }); allocs != 0 {
+		t.Fatalf("Histogram.Quantile allocates %v times per call", allocs)
+	}
 }

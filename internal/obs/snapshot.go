@@ -20,38 +20,14 @@ type HistogramSnapshot struct {
 	Sum    float64  `json:"sum"`
 }
 
-// Quantile estimates the q-quantile of the snapshotted values with the same
-// linear interpolation Histogram.Quantile uses, so a dashboard computing
-// p99 from a merged fleet snapshot agrees with a single shard computing it
-// live.
+// Quantile estimates the q-quantile of the snapshotted values with the
+// routine Histogram.Quantile uses, so a dashboard computing p99 from a
+// merged fleet snapshot agrees with a single shard computing it live.
 func (h *HistogramSnapshot) Quantile(q float64) float64 {
-	if h == nil || len(h.Bounds) == 0 || h.Count == 0 {
+	if h == nil {
 		return 0
 	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := q * float64(h.Count)
-	var cum uint64
-	for i, bound := range h.Bounds {
-		n := h.Counts[i]
-		if float64(cum)+float64(n) >= rank {
-			lower := 0.0
-			if i > 0 {
-				lower = h.Bounds[i-1]
-			}
-			if n == 0 {
-				return bound
-			}
-			frac := (rank - float64(cum)) / float64(n)
-			return lower + frac*(bound-lower)
-		}
-		cum += n
-	}
-	return h.Bounds[len(h.Bounds)-1]
+	return bucketQuantile(q, h.Bounds, h.Count, func(i int) uint64 { return h.Counts[i] })
 }
 
 // InstrumentSnapshot is one instrument's point-in-time value. Exactly one

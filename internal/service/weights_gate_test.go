@@ -123,8 +123,9 @@ func TestAdoptRefusesMisshapedCheckpoint(t *testing.T) {
 }
 
 // TestSpineSessionSurvivesPoisonedLane drives a spine-mode session over
-// HTTP, poisons its family's lane with NaN rewards after the first adopted
-// version, and keeps driving past several adoption points: the refused
+// HTTP, poisons its family's lane with rewards of math.MaxFloat64 (finite,
+// so ingest takes them, but training on them overflows) after the first
+// adopted version, and keeps driving past several adoption points: the refused
 // learner pass publishes nothing, so every call still answers 200 with a
 // finite action and the session stays on the clean version.
 func TestSpineSessionSurvivesPoisonedLane(t *testing.T) {
@@ -174,7 +175,7 @@ func TestSpineSessionSurvivesPoisonedLane(t *testing.T) {
 		poison = append(poison, rl.Transition{
 			State:     make([]float64, s.env.StateDim()),
 			Action:    make([]float64, s.env.Space().Dim()),
-			Reward:    math.NaN(),
+			Reward:    math.MaxFloat64,
 			NextState: make([]float64, s.env.StateDim()),
 		})
 	}
@@ -184,7 +185,7 @@ func TestSpineSessionSurvivesPoisonedLane(t *testing.T) {
 		round()
 	}
 	if perr == nil {
-		t.Fatal("learner pass over NaN rewards published")
+		t.Fatal("learner pass over overflowing rewards published")
 	}
 	if v := s.Info().SpineVersion; v != 1 {
 		t.Fatalf("session moved to version %d after a refused pass", v)

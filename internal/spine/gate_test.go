@@ -10,8 +10,8 @@ import (
 )
 
 // TestTrainFamilyRefusesNonFiniteState poisons a family's lane with
-// NaN-reward transitions after a first clean publish. The pass that trains
-// on them must not publish: the version stays at the incumbent, the
+// finite rewards of math.MaxFloat64 after a first clean publish; training
+// on them overflows the critics. The pass must not publish: the version stays at the incumbent, the
 // learner is rolled back to the incumbent's weights, and the pass reports
 // an error.
 func TestTrainFamilyRefusesNonFiniteState(t *testing.T) {
@@ -29,12 +29,12 @@ func TestTrainFamilyRefusesNonFiniteState(t *testing.T) {
 
 	var poison []rl.Transition
 	for i := 0; i < 256; i++ {
-		poison = append(poison, testTransition(float64(i), math.NaN()))
+		poison = append(poison, testTransition(float64(i), math.MaxFloat64))
 	}
 	s.Ingest("TS", poison)
 	pol, err := s.TrainFamily("TS", 8)
 	if err == nil {
-		t.Fatal("pass over NaN rewards published")
+		t.Fatal("pass over overflowing rewards published")
 	}
 	if pol != v1 {
 		t.Fatalf("refused pass returned %+v, want the incumbent", pol)
@@ -57,5 +57,45 @@ func TestTrainFamilyRefusesNonFiniteState(t *testing.T) {
 	ln.tmu.Unlock()
 	if !bytes.Equal(got, encode(v1.Agent)) {
 		t.Fatal("learner not rolled back to the incumbent")
+	}
+}
+
+// TestIngestRefusesNonFinite offers a lane transitions with a NaN or Inf
+// in each part, through Ingest and through an Actor. None is stored: the
+// lane's Len and ingest count stay where the clean transition left them,
+// and every refusal is counted.
+func TestIngestRefusesNonFinite(t *testing.T) {
+	s := New(Options{Shards: 2, ShardCapacity: 64})
+	defer s.Close()
+	s.Ingest("TS", []rl.Transition{testTransition(0, 0.5)})
+	ingested := func() uint64 { return s.Stats().Lanes[0].Ingested }
+	if s.Len("TS") != 1 || ingested() != 1 {
+		t.Fatalf("clean ingest: len %d ingested %d", s.Len("TS"), ingested())
+	}
+
+	var poison []rl.Transition
+	for i := 0; i < 4; i++ {
+		tr := testTransition(float64(i), 0.5)
+		switch i {
+		case 0:
+			tr.Reward = math.NaN()
+		case 1:
+			tr.State[1] = math.Inf(1)
+		case 2:
+			tr.Action[0] = math.NaN()
+		case 3:
+			tr.NextState[2] = math.Inf(-1)
+		}
+		poison = append(poison, tr)
+	}
+	s.Ingest("TS", poison)
+	a := s.Actor("TS")
+	a.Enqueue(poison[0])
+	a.Flush()
+	if s.Len("TS") != 1 || ingested() != 1 {
+		t.Fatalf("after non-finite ingest: len %d ingested %d, want 1 and 1", s.Len("TS"), ingested())
+	}
+	if got := s.Stats().RejectedTransitions; got != 5 {
+		t.Fatalf("rejected %d transitions, want 5", got)
 	}
 }

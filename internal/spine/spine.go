@@ -172,6 +172,7 @@ type spineMetrics struct {
 	learners  *obs.Gauge
 	dutyCycle *obs.Gauge
 	shed      *obs.Counter
+	rejected  *obs.Counter
 }
 
 func newSpineMetrics(reg *obs.Registry) spineMetrics {
@@ -186,6 +187,7 @@ func newSpineMetrics(reg *obs.Registry) spineMetrics {
 		learners:  reg.Gauge("deepcat_spine_learners"),
 		dutyCycle: reg.Gauge("deepcat_spine_learner_duty_permille"),
 		shed:      reg.Counter("deepcat_spine_shed_transitions_total"),
+		rejected:  reg.Counter("deepcat_spine_rejected_transitions_total"),
 	}
 }
 
@@ -220,6 +222,9 @@ type Spine struct {
 	queue     *ingestQueue
 	bufPool   sync.Pool
 	shedTotal atomic.Uint64
+	// rejected counts transitions refused at Enqueue for failing
+	// rl.Transition.Check.
+	rejected atomic.Uint64
 }
 
 // New creates a spine. When opts.LearnInterval is positive a background
@@ -335,8 +340,15 @@ func (a *Actor) Sheds() uint64 { return a.shed.Load() }
 
 // Enqueue deep-copies the transition into the actor's append buffer,
 // flushing the batch into the lane once FlushEvery accumulate. The caller
-// may reuse tr's slices immediately.
+// may reuse tr's slices immediately. A transition that fails
+// rl.Transition.Check is skipped and counted, so nothing non-finite
+// reaches the shared rings.
 func (a *Actor) Enqueue(tr rl.Transition) {
+	if tr.Check() != nil {
+		a.sp.rejected.Add(1)
+		a.sp.met.rejected.Inc()
+		return
+	}
 	a.buf = append(a.buf, compactClone(tr))
 	if len(a.buf) >= cap(a.buf) {
 		a.Flush()
@@ -378,7 +390,8 @@ func (a *Actor) Flush() {
 }
 
 // Ingest bulk-loads transitions into a family's lane, spreading them across
-// shards in FlushEvery-sized batches. The service uses it to warm-start the
+// shards in FlushEvery-sized batches, skipping what Enqueue refuses. The
+// service uses it to warm-start the
 // spine from the warehouse WAL after a restart. On a queued spine it waits
 // for the queue to drain so the bulk load keeps its synchronous contract
 // (callers train immediately after warm-starting).
@@ -490,6 +503,9 @@ type Stats struct {
 	// transitions its overflow policy has dropped.
 	QueueDepth      int    `json:"queue_depth,omitempty"`
 	ShedTransitions uint64 `json:"shed_transitions,omitempty"`
+	// RejectedTransitions counts transitions refused at ingest for a
+	// non-finite number.
+	RejectedTransitions uint64 `json:"rejected_transitions,omitempty"`
 }
 
 // Stats reports per-family lane sizes and learner progress, sorted by
@@ -530,6 +546,7 @@ func (s *Spine) Stats() Stats {
 	}
 	st.QueueDepth = s.QueueDepth()
 	st.ShedTransitions = s.shedTotal.Load()
+	st.RejectedTransitions = s.rejected.Load()
 	sort.Slice(st.Lanes, func(i, j int) bool { return st.Lanes[i].Family < st.Lanes[j].Family })
 	return st
 }
