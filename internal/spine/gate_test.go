@@ -6,6 +6,7 @@ import (
 	"math"
 	"testing"
 
+	"deepcat/internal/obs"
 	"deepcat/internal/rl"
 )
 
@@ -65,7 +66,8 @@ func TestTrainFamilyRefusesNonFiniteState(t *testing.T) {
 // lane's Len and ingest count stay where the clean transition left them,
 // and every refusal is counted.
 func TestIngestRefusesNonFinite(t *testing.T) {
-	s := New(Options{Shards: 2, ShardCapacity: 64})
+	reg := obs.NewRegistry()
+	s := New(Options{Shards: 2, ShardCapacity: 64, Registry: reg})
 	defer s.Close()
 	s.Ingest("TS", []rl.Transition{testTransition(0, 0.5)})
 	ingested := func() uint64 { return s.Stats().Lanes[0].Ingested }
@@ -95,7 +97,7 @@ func TestIngestRefusesNonFinite(t *testing.T) {
 	if s.Len("TS") != 1 || ingested() != 1 {
 		t.Fatalf("after non-finite ingest: len %d ingested %d, want 1 and 1", s.Len("TS"), ingested())
 	}
-	if got := s.Stats().RejectedTransitions; got != 5 {
+	if got := reg.Counter("deepcat_spine_rejected_transitions_total").Value(); got != 5 {
 		t.Fatalf("rejected %d transitions, want 5", got)
 	}
 }

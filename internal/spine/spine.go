@@ -222,9 +222,6 @@ type Spine struct {
 	queue     *ingestQueue
 	bufPool   sync.Pool
 	shedTotal atomic.Uint64
-	// rejected counts transitions refused at Enqueue for failing
-	// rl.Transition.Check.
-	rejected atomic.Uint64
 }
 
 // New creates a spine. When opts.LearnInterval is positive a background
@@ -341,11 +338,11 @@ func (a *Actor) Sheds() uint64 { return a.shed.Load() }
 // Enqueue deep-copies the transition into the actor's append buffer,
 // flushing the batch into the lane once FlushEvery accumulate. The caller
 // may reuse tr's slices immediately. A transition that fails
-// rl.Transition.Check is skipped and counted, so nothing non-finite
-// reaches the shared rings.
+// rl.Transition.Check is skipped and counted in
+// deepcat_spine_rejected_transitions_total, so nothing non-finite reaches
+// the shared rings.
 func (a *Actor) Enqueue(tr rl.Transition) {
 	if tr.Check() != nil {
-		a.sp.rejected.Add(1)
 		a.sp.met.rejected.Inc()
 		return
 	}
@@ -503,9 +500,6 @@ type Stats struct {
 	// transitions its overflow policy has dropped.
 	QueueDepth      int    `json:"queue_depth,omitempty"`
 	ShedTransitions uint64 `json:"shed_transitions,omitempty"`
-	// RejectedTransitions counts transitions refused at ingest for a
-	// non-finite number.
-	RejectedTransitions uint64 `json:"rejected_transitions,omitempty"`
 }
 
 // Stats reports per-family lane sizes and learner progress, sorted by
@@ -546,7 +540,6 @@ func (s *Spine) Stats() Stats {
 	}
 	st.QueueDepth = s.QueueDepth()
 	st.ShedTransitions = s.shedTotal.Load()
-	st.RejectedTransitions = s.rejected.Load()
 	sort.Slice(st.Lanes, func(i, j int) bool { return st.Lanes[i].Family < st.Lanes[j].Family })
 	return st
 }
